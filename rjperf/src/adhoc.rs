@@ -18,7 +18,7 @@ use rj_store::metrics::MetricsSnapshot;
 use rj_store::parallel::ExecutionMode;
 
 use crate::common::{
-    exec_layers, ops_per_s, Args, Epochs, Outcome, Overhead, SetupTimes, POOL_WIDTH,
+    exec_layers, ops_per_s, Args, Epochs, Outcome, Overhead, SetupTimes, POOL_WIDTH, SETUPS,
 };
 use crate::fixture::{self, Builds, QueryKind};
 use crate::measure::{add_ledger, percentile, ratio, Samples};
@@ -26,8 +26,6 @@ use crate::reference::topk_path;
 use crate::rng::Rng;
 use crate::trace::Tracer;
 
-/// Set-ups per run (`setup_s` is their median).
-const SETUPS: usize = 5;
 /// Blocks of 32 queries per epoch.
 const BLOCKS: usize = 32;
 /// Answer depths.
@@ -96,14 +94,14 @@ struct Exact {
 
 /// Runs the workload.
 pub fn run(args: &Args) -> Outcome {
+    let mut out = Outcome::new(Tracer::new(false));
     let mut setups = SetupTimes::default();
     let mut fx = None;
     for _ in 0..SETUPS {
         drop(fx.take());
-        fx = Some(setups.time(setup));
+        fx = Some(setups.time(&mut out.speed, setup));
     }
     let fx = fx.expect("at least one set-up");
-    let mut out = Outcome::new(Tracer::new(false));
     setups.report(&mut out);
 
     // Reference answers, once per query at the deepest k (every
@@ -133,6 +131,7 @@ pub fn run(args: &Args) -> Outcome {
         let traced = out.tracer.on();
         let mut epoch_s = 0.0;
         for &(kind, k) in &queries {
+            out.speed.tick();
             req += 1;
             out.attempted += 1;
             let tr = &mut out.tracer;

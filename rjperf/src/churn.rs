@@ -4,9 +4,9 @@
 //! Each step applies one leveled TPC-H refresh set through
 //! `MaintainedSide`s on Orders and Lineitem with ISL, BFHM and the Q2
 //! executor's `SharedTableStats` attached, then runs five Q2 `Auto`
-//! queries at depths near 1, 10, 10, 10 and 50. The refresh stream is
-//! the same for every seed; the seed jitters the depths and orders the
-//! queries. Host time lands in the §6 write path
+//! queries at depths near 10, then 1, 10, 10 and 50. The refresh stream
+//! is the same for every seed; the seed jitters the depths and orders the
+//! last four queries. Host time lands in the §6 write path
 //! (BFHM blob records, statistics deltas), store writes, and re-planning
 //! after version bumps; the serving layer and the pool are never used.
 
@@ -27,20 +27,21 @@ use rj_store::parallel::ExecutionMode;
 use rj_tpch::gen::LineitemRow;
 use rj_tpch::loader::rowkeys;
 
-use crate::common::{exec_layers, ops_per_s, Args, Epochs, Outcome, Overhead, SetupTimes};
+use crate::common::{exec_layers, ops_per_s, Args, Epochs, Outcome, Overhead, SetupTimes, SETUPS};
 use crate::fixture::{self, Builds, QueryKind};
 use crate::measure::{add_ledger, percentile, ratio, Samples};
 use crate::model::{LeveledRefresh, Model, Write};
 use crate::rng::Rng;
 use crate::trace::{SpanId, Tracer};
 
-/// Set-ups per run (`setup_s` is their median).
-const SETUPS: usize = 5;
 /// Refresh steps per epoch.
 const STEPS: usize = 96;
-/// Query depths of one step, each jittered and run once in a seeded
-/// order. Three of five near 10 put the median inside that class.
-const STEP_KS: [usize; 5] = [1, 10, 10, 10, 50];
+/// Query depths of one step, each jittered; the first runs first and the
+/// rest in a seeded order. Three of five near 10 put the median inside
+/// that class. The first query after a refresh set pays any statistics
+/// recollection the writes made due, and those queries make the p99; a
+/// fixed depth class for it keeps the p99 from depending on the seed.
+const STEP_KS: [usize; 5] = [10, 1, 10, 10, 50];
 
 /// The write-path wiring of one query pair: a maintained side per base
 /// table, each fanning out to the pair's ISL and BFHM indices and its
@@ -164,42 +165,44 @@ struct Exact {
 
 /// Runs the workload.
 pub fn run(args: &Args) -> Outcome {
-    let mut setups = SetupTimes::default();
-    let mut fx = None;
-    for _ in 0..SETUPS {
-        drop(fx.take());
-        fx = Some(setups.time(setup));
-    }
-    let fx = fx.expect("at least one set-up");
     let mut out = Outcome::new(Tracer::new(false));
-    setups.report(&mut out);
-
+    let mut setups = SetupTimes::default();
+    // Every epoch starts from a fresh set-up, so each does the same work:
+    // the store keeps the history of every write, and a later step on
+    // one set-up costs more than an earlier one.
+    for _ in 1..SETUPS {
+        drop(setups.time(&mut out.speed, setup));
+    }
     let cfg = fixture::tpch_config();
-    let mut model = Model::load(&cfg);
-    let mut refresh = LeveledRefresh::new(cfg);
-    let mut rng = Rng::new(args.seed, 3);
-    let handle = fx.q2.stats_handle();
-    let (version0, collections0, evals0) = (
-        handle.version(),
-        handle.collections(),
-        fx.q2.candidate_evaluations(),
-    );
-    let ledger = || fx.cluster.metrics().snapshot();
-    let start_rows = model.live_rows();
-
     let mut host = Samples::default();
     let mut exact = Exact::default();
     let mut overhead = Overhead::default();
     let mut epochs = Epochs::start(args);
+    let mut start = None;
     let mut end_of_first = None;
     let mut req = 0u64;
     while epochs.next(&mut out.tracer) {
         let first = epochs.first();
         let traced = out.tracer.on();
+        let fx = setups.time(&mut out.speed, setup);
+        let mut model = Model::load(&cfg);
+        let mut refresh = LeveledRefresh::new(cfg);
+        let mut rng = Rng::new(args.seed, 3);
+        let handle = fx.q2.stats_handle();
+        let ledger = || fx.cluster.metrics().snapshot();
+        if first {
+            start = Some((
+                handle.version(),
+                handle.collections(),
+                fx.q2.candidate_evaluations(),
+                model.live_rows(),
+            ));
+        }
         let (mut epoch_s, mut epoch_ops) = (0.0, 0u64);
         for _ in 0..STEPS {
             let writes = refresh.next_step();
             for w in &writes {
+                out.speed.tick();
                 req += 1;
                 out.attempted += 1;
                 let tr = &mut out.tracer;
@@ -239,9 +242,10 @@ pub fn run(args: &Args) -> Outcome {
             }
             // The reference for this data version, outside the timed calls.
             let mut ks = STEP_KS.map(|k| rng.near(k));
-            rng.shuffle(&mut ks);
+            rng.shuffle(&mut ks[1..]);
             let want = model.topk(QueryKind::Q2, *ks.iter().max().expect("depths"));
             for k in ks {
+                out.speed.tick();
                 req += 1;
                 out.attempted += 1;
                 let tr = &mut out.tracer;
@@ -304,6 +308,8 @@ pub fn run(args: &Args) -> Outcome {
         }
     }
     let end = end_of_first.expect("one epoch ran");
+    let (version0, collections0, evals0, start_rows) = start.expect("one epoch ran");
+    setups.report(&mut out);
 
     let nq = exact.queries.max(1) as f64;
     let nw = exact.writes.max(1) as f64;
@@ -405,7 +411,7 @@ pub fn run(args: &Args) -> Outcome {
     );
     l.insert("trace.overhead_frac", overhead.fraction());
     out.notes.push(format!(
-        "churn: {} epochs of {STEPS} steps; first epoch: {} writes, {} queries, Auto picked {:?}; \
+        "churn: {} epochs of {STEPS} steps, each on a fresh set-up; first epoch: {} writes, {} queries, Auto picked {:?}; \
          live (orders, lineitems) {:?} at start, {:?} after the first epoch",
         epochs.done, exact.writes, exact.queries, exact.picks, start_rows, end.rows
     ));

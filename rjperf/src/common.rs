@@ -13,10 +13,13 @@ use std::time::Instant;
 
 use crate::fixture::Builds;
 use crate::measure::{median, percentile, ratio};
+use crate::speed::Speed;
 use crate::trace::Tracer;
 
 /// Work-stealing pool width the benchmark pins (`RJ_POOL_THREADS`).
 pub const POOL_WIDTH: usize = 2;
+/// Set-ups timed per run, at least (`setup_s` is their median).
+pub const SETUPS: usize = 9;
 
 /// Command-line arguments.
 #[derive(Clone, Debug)]
@@ -48,6 +51,8 @@ pub struct Outcome {
     pub notes: Vec<String>,
     /// The span recorder.
     pub tracer: Tracer,
+    /// The reference kernel's timings (host speed over the run).
+    pub speed: Speed,
 }
 
 impl Outcome {
@@ -61,6 +66,7 @@ impl Outcome {
             wrong: 0,
             notes: Vec::new(),
             tracer,
+            speed: Speed::new(),
         }
     }
 }
@@ -80,8 +86,9 @@ pub struct SetupTimes {
 
 impl SetupTimes {
     /// Runs one set-up (returning what it built, the load's host seconds
-    /// and the builds) and records its timings.
-    pub fn time<F>(&mut self, setup: impl FnOnce() -> (F, f64, Builds)) -> F {
+    /// and the builds) and records its timings, after a host-speed sample.
+    pub fn time<F>(&mut self, speed: &mut Speed, setup: impl FnOnce() -> (F, f64, Builds)) -> F {
+        speed.sample();
         let t = Instant::now();
         let (fixture, load_s, builds) = setup();
         self.total_s.push(t.elapsed().as_secs_f64());

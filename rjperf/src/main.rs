@@ -11,7 +11,8 @@
 //! `{"correct", "attempted", "failed", "metrics"}`. With `--trace 0` the
 //! metrics are the end-to-end ones; with `--trace 1` they are the
 //! per-layer ones, from spans the benchmark records around its calls
-//! into each layer. A wrong answer exits with code 1.
+//! into each layer. Host times are reported at a fixed reference speed
+//! (see [`speed`]). A wrong answer exits with code 1.
 
 mod adhoc;
 mod churn;
@@ -23,83 +24,95 @@ mod probe;
 mod reference;
 mod rng;
 mod serve;
+mod speed;
 mod trace;
 
 use std::process::ExitCode;
 
 use common::{Args, Outcome, POOL_WIDTH};
 use measure::Report;
+use speed::Host;
 
-/// End-to-end metrics, reported by every workload with `--trace 0`.
-const END_TO_END: [(&str, &str); 10] = [
-    ("setup_s", "s"),
-    ("ops_per_s", "1/s"),
-    ("query_p50_us", "us"),
-    ("query_p99_us", "us"),
-    ("sim_p50_ms", "ms"),
-    ("sim_p99_ms", "ms"),
-    ("kv_reads_per_query", "reads"),
-    ("net_bytes_per_query", "B"),
-    ("index_bytes_per_base_byte", "ratio"),
-    ("peak_rss_mb", "MB"),
+/// End-to-end metrics, reported by every workload with `--trace 0`, each
+/// with its unit and how it depends on host speed.
+const END_TO_END: [(&str, &str, Host); 10] = [
+    ("setup_s", "s", Host::Time),
+    ("ops_per_s", "1/s", Host::Rate),
+    ("query_p50_us", "us", Host::Time),
+    ("query_p99_us", "us", Host::Time),
+    ("sim_p50_ms", "ms", Host::No),
+    ("sim_p99_ms", "ms", Host::No),
+    ("kv_reads_per_query", "reads", Host::No),
+    ("net_bytes_per_query", "B", Host::No),
+    ("index_bytes_per_base_byte", "ratio", Host::No),
+    ("peak_rss_mb", "MB", Host::No),
 ];
 
-/// Per-layer metrics, reported by every workload with `--trace 1`.
-const PER_LAYER: [(&str, &str); 54] = [
-    ("rj_tpch.load_s", "s"),
-    ("rj_mapreduce.build_s", "s"),
-    ("rj_mapreduce.jobs", "count"),
-    ("rj_mapreduce.shuffle_bytes", "B"),
-    ("rj_mapreduce.build_sim_s", "s"),
-    ("rj_store.rpcs_per_query", "count"),
-    ("rj_store.node_s_per_sim_s", "ratio"),
-    ("rj_store.admin_kv_reads", "reads"),
-    ("rj_store.kv_reads_per_write", "reads"),
-    ("rj_core.planner.plan_us_p50", "us"),
-    ("rj_core.planner.plan_us_p99", "us"),
-    ("rj_core.planner.candidate_evals", "count"),
-    ("rj_core.planner.stats_collections", "count"),
-    ("rj_core.planner.pick.isl", "share"),
-    ("rj_core.planner.pick.bfhm", "share"),
-    ("rj_core.exec.isl_us_p50", "us"),
-    ("rj_core.exec.isl_us_p99", "us"),
-    ("rj_core.exec.bfhm_us_p50", "us"),
-    ("rj_core.exec.bfhm_us_p99", "us"),
-    ("rj_core.exec.spec3_us_p50", "us"),
-    ("rj_core.exec.spec3_us_p99", "us"),
-    ("rj_core.exec.ns_per_kv_read", "ns"),
-    ("rj_core.exec.kv_reads_per_result", "reads"),
-    ("rj_core.index_bytes.isl", "B"),
-    ("rj_core.index_bytes.bfhm", "B"),
-    ("rj_core.index_bytes.spec3", "B"),
-    ("rj_core.maintenance.insert_us_p50", "us"),
-    ("rj_core.maintenance.delete_us_p50", "us"),
-    ("rj_core.maintenance.kv_writes_per_insert", "writes"),
-    ("rj_core.maintenance.kv_writes_per_delete", "writes"),
-    ("rj_core.maintenance.version_bumps", "count"),
-    ("rj_serve.round_us_p50", "us"),
-    ("rj_serve.round_us_p99", "us"),
-    ("rj_serve.submit_us_p50", "us"),
-    ("rj_serve.next_page_us_p50", "us"),
-    ("rj_serve.sessions_per_round", "count"),
-    ("rj_serve.queue_depth_p99", "count"),
-    ("rj_serve.generator_lag_ms_p99", "ms"),
-    ("rj_serve.served.execution", "share"),
-    ("rj_serve.served.shared", "share"),
-    ("rj_serve.served.prefix_cache", "share"),
-    ("rj_serve.served.unserved", "share"),
-    ("rj_serve.warm_starts", "count"),
-    ("rj_serve.pages_served", "count"),
-    ("rj_serve.requeued", "count"),
-    ("rj_serve.staleness_rebuilds", "count"),
-    ("rj_serve.maintenance_runs", "count"),
-    ("rj_serve.stale_retries", "count"),
-    ("write_p50_us", "us"),
-    ("write_p99_us", "us"),
-    ("kv_writes_per_write", "writes"),
-    ("sim_max_rate_qps", "1/s"),
-    ("failed_frac", "ratio"),
-    ("trace.overhead_frac", "ratio"),
+/// Per-layer metrics, reported by every workload with `--trace 1`, each
+/// with its unit and how it depends on host speed.
+const PER_LAYER: [(&str, &str, Host); 54] = [
+    ("rj_tpch.load_s", "s", Host::Time),
+    ("rj_mapreduce.build_s", "s", Host::Time),
+    ("rj_mapreduce.jobs", "count", Host::No),
+    ("rj_mapreduce.shuffle_bytes", "B", Host::No),
+    ("rj_mapreduce.build_sim_s", "s", Host::No),
+    ("rj_store.rpcs_per_query", "count", Host::No),
+    ("rj_store.node_s_per_sim_s", "ratio", Host::No),
+    ("rj_store.admin_kv_reads", "reads", Host::No),
+    ("rj_store.kv_reads_per_write", "reads", Host::No),
+    ("rj_core.planner.plan_us_p50", "us", Host::Time),
+    ("rj_core.planner.plan_us_p99", "us", Host::Time),
+    ("rj_core.planner.candidate_evals", "count", Host::No),
+    ("rj_core.planner.stats_collections", "count", Host::No),
+    ("rj_core.planner.pick.isl", "share", Host::No),
+    ("rj_core.planner.pick.bfhm", "share", Host::No),
+    ("rj_core.exec.isl_us_p50", "us", Host::Time),
+    ("rj_core.exec.isl_us_p99", "us", Host::Time),
+    ("rj_core.exec.bfhm_us_p50", "us", Host::Time),
+    ("rj_core.exec.bfhm_us_p99", "us", Host::Time),
+    ("rj_core.exec.spec3_us_p50", "us", Host::Time),
+    ("rj_core.exec.spec3_us_p99", "us", Host::Time),
+    ("rj_core.exec.ns_per_kv_read", "ns", Host::Time),
+    ("rj_core.exec.kv_reads_per_result", "reads", Host::No),
+    ("rj_core.index_bytes.isl", "B", Host::No),
+    ("rj_core.index_bytes.bfhm", "B", Host::No),
+    ("rj_core.index_bytes.spec3", "B", Host::No),
+    ("rj_core.maintenance.insert_us_p50", "us", Host::Time),
+    ("rj_core.maintenance.delete_us_p50", "us", Host::Time),
+    (
+        "rj_core.maintenance.kv_writes_per_insert",
+        "writes",
+        Host::No,
+    ),
+    (
+        "rj_core.maintenance.kv_writes_per_delete",
+        "writes",
+        Host::No,
+    ),
+    ("rj_core.maintenance.version_bumps", "count", Host::No),
+    ("rj_serve.round_us_p50", "us", Host::Time),
+    ("rj_serve.round_us_p99", "us", Host::Time),
+    ("rj_serve.submit_us_p50", "us", Host::Time),
+    ("rj_serve.next_page_us_p50", "us", Host::Time),
+    ("rj_serve.sessions_per_round", "count", Host::No),
+    ("rj_serve.queue_depth_p99", "count", Host::No),
+    ("rj_serve.generator_lag_ms_p99", "ms", Host::No),
+    ("rj_serve.served.execution", "share", Host::No),
+    ("rj_serve.served.shared", "share", Host::No),
+    ("rj_serve.served.prefix_cache", "share", Host::No),
+    ("rj_serve.served.unserved", "share", Host::No),
+    ("rj_serve.warm_starts", "count", Host::No),
+    ("rj_serve.pages_served", "count", Host::No),
+    ("rj_serve.requeued", "count", Host::No),
+    ("rj_serve.staleness_rebuilds", "count", Host::No),
+    ("rj_serve.maintenance_runs", "count", Host::No),
+    ("rj_serve.stale_retries", "count", Host::No),
+    ("write_p50_us", "us", Host::Time),
+    ("write_p99_us", "us", Host::Time),
+    ("kv_writes_per_write", "writes", Host::No),
+    ("sim_max_rate_qps", "1/s", Host::No),
+    ("failed_frac", "ratio", Host::No),
+    ("trace.overhead_frac", "ratio", Host::No),
 ];
 
 fn usage() -> ExitCode {
@@ -164,13 +177,21 @@ fn main() -> ExitCode {
     if args.trace {
         finish_trace(&args, &mut out);
     }
+    let factor = out.speed.factor();
+    out.notes.push(format!(
+        "host speed: {} reference-kernel samples, median {:.1} us; host times x {factor:.4} \
+         to the reference speed ({} us)",
+        out.speed.samples(),
+        out.speed.median_us(),
+        speed::REFERENCE_US
+    ));
     for line in &out.notes {
         println!("# {line}");
     }
     let metrics = if args.trace {
-        collect(&out.layers, &PER_LAYER)
+        collect(&out.layers, &PER_LAYER, factor)
     } else {
-        collect(&out.e2e, &END_TO_END)
+        collect(&out.e2e, &END_TO_END, factor)
     };
     metrics.print_lines();
     let correct = out.wrong == 0;
@@ -216,7 +237,7 @@ fn finish_trace(args: &Args, out: &mut Outcome) {
     }
     let missing: Vec<&str> = PER_LAYER
         .iter()
-        .map(|(n, _)| *n)
+        .map(|(n, _, _)| *n)
         .filter(|n| !out.layers.contains_key(n))
         .collect();
     if !missing.is_empty() {
@@ -230,18 +251,20 @@ fn finish_trace(args: &Args, out: &mut Outcome) {
     }
 }
 
-/// The declared metrics, in order, from the workload's values.
+/// The declared metrics, in order, from the workload's values, with host
+/// times and rates scaled to the reference speed by `factor`.
 fn collect(
     values: &std::collections::BTreeMap<&'static str, f64>,
-    declared: &[(&str, &'static str)],
+    declared: &[(&str, &'static str, Host)],
+    factor: f64,
 ) -> Report {
     let mut r = Report::default();
-    for (name, unit) in declared {
+    for &(name, unit, host) in declared {
         let v = values
             .get(name)
             .copied()
             .unwrap_or_else(|| panic!("workload did not report {name}"));
-        r.put(name, v, unit);
+        r.put(name, speed::scale(v, host, factor), unit);
     }
     r
 }

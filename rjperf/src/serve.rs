@@ -37,11 +37,12 @@ use rj_store::parallel::ExecutionMode;
 use rj_tpch::loader::{cols, FAMILY};
 
 use crate::churn::Maintained;
-use crate::common::{Args, Epochs, Outcome, Overhead, SetupTimes};
+use crate::common::{Args, Epochs, Outcome, Overhead, SetupTimes, SETUPS};
 use crate::fixture::{self, Builds, QueryKind};
 use crate::measure::{add_ledger, median, peak_rss_mb, percentile, ratio};
 use crate::model::{LeveledRefresh, Model};
 use crate::rng::Rng;
+use crate::speed::Speed;
 use crate::trace::Tracer;
 
 /// Offered rates, sessions per simulated second.
@@ -52,10 +53,11 @@ const RATES: [f64; 3] = [2.0, 4.0, 8.0];
 const NOMINAL: usize = 1;
 /// Latency limit on the simulated p99 sojourn, seconds.
 const LIMIT_S: f64 = 3.0;
-/// Requests at the nominal rate: enough for ten sessions beyond the p99.
-const NOMINAL_ARRIVALS: usize = 1024;
+/// Requests at the nominal rate: twenty sessions beyond the p99, so the
+/// p99 does not hang on a handful of sessions.
+const NOMINAL_ARRIVALS: usize = 2048;
 /// Requests at the other rates (the first ones of the same list).
-const ARRIVALS: usize = 384;
+const ARRIVALS: usize = 256;
 /// Arrivals between refresh sets.
 const WRITE_EVERY: usize = 16;
 /// Registered tenants.
@@ -219,8 +221,8 @@ fn setup() -> (Fixture, f64, Builds) {
 struct Live {
     req: usize,
     session: SessionId,
-    /// Host instant of the original submit.
-    submitted: Instant,
+    /// The arm's service host seconds when the original submit began.
+    submitted: f64,
     /// Simulated clock at the original submit.
     submitted_at: f64,
     parked: Option<PageToken>,
@@ -253,8 +255,11 @@ struct Arm {
     stats_collections: u64,
     index: (u64, u64),
     base: u64,
+    /// Host seconds inside service and write-path calls; the benchmark's
+    /// own work (answer checks, references, the speed kernel) is outside.
     host_s: f64,
-    /// Host latency of each session, submit to answer.
+    /// Host latency of each session: the `host_s` that passed from the
+    /// start of its submit to its answer.
     session_us: Vec<f64>,
 }
 
@@ -276,6 +281,7 @@ struct Replay<'a> {
     model: Option<Model>,
     refresh: LeveledRefresh,
     tracer: &'a mut Tracer,
+    speed: &'a mut Speed,
     live: Vec<Live>,
     arm: Arm,
     version: usize,
@@ -291,12 +297,13 @@ impl Replay<'_> {
         self.fx.cluster.metrics().snapshot()
     }
 
-    fn submit(&mut self, req: usize, paged: bool, first: Option<(Instant, f64)>) {
+    fn submit(&mut self, req: usize, paged: bool, first: Option<(f64, f64)>) {
         let r = &self.reqs[req];
         let fx = self.fx;
         let s = self
             .tracer
             .begin("rj_serve.submit", req as u64, MetricsSnapshot::default);
+        let host_before = self.arm.host_s;
         let t = Instant::now();
         let id = fx
             .service
@@ -305,7 +312,7 @@ impl Replay<'_> {
         self.tracer.end(s, "", MetricsSnapshot::default);
         match id {
             Ok(session) => {
-                let (submitted, submitted_at) = first.unwrap_or((t, fx.service.clock()));
+                let (submitted, submitted_at) = first.unwrap_or((host_before, fx.service.clock()));
                 self.live.push(Live {
                     req,
                     session,
@@ -327,7 +334,7 @@ impl Replay<'_> {
         let r = &self.reqs[live.req];
         self.arm
             .session_us
-            .push(live.submitted.elapsed().as_secs_f64() * 1e6);
+            .push((self.arm.host_s - live.submitted) * 1e6);
         if result.outcome != SessionOutcome::Complete {
             self.arm.failed += 1;
             eprintln!("serve: session ended {:?}", result.outcome);
@@ -538,6 +545,8 @@ impl Replay<'_> {
         let refresh_due =
             |next: usize, version: usize| next < self.reqs.len() && version < next / WRITE_EVERY;
         loop {
+            // Between service calls, so outside every timed interval.
+            self.speed.tick();
             self.fetch_pages();
             if refresh_due(next, self.version) {
                 self.refresh();
@@ -601,6 +610,10 @@ pub fn run(args: &Args) -> Outcome {
     let (mut host_s, mut sessions) = (0.0, 0u64);
     let mut overhead = Overhead::default();
     let mut rss = 0.0;
+    // Each rate's replay sets up afresh; these make up the rest.
+    for _ in RATES.len()..SETUPS {
+        drop(setups.time(&mut out.speed, setup));
+    }
     let mut epochs = Epochs::start(args);
     while epochs.next(&mut out.tracer) {
         let traced = out.tracer.on();
@@ -613,7 +626,7 @@ pub fn run(args: &Args) -> Outcome {
             } else {
                 &reqs[..ARRIVALS]
             };
-            let fx = setups.time(setup);
+            let fx = setups.time(&mut out.speed, setup);
             let model = refs.is_empty().then(|| Model::load(&cfg));
             if let Some(m) = &model {
                 refs.push(
@@ -631,6 +644,7 @@ pub fn run(args: &Args) -> Outcome {
                 model,
                 refresh: LeveledRefresh::new(cfg),
                 tracer: &mut out.tracer,
+                speed: &mut out.speed,
                 live: Vec::new(),
                 arm: Arm::default(),
                 version: 0,
@@ -820,6 +834,8 @@ pub fn probe(seed: u64) -> BTreeMap<&'static str, f64> {
         .map(|&q| (q, model.topk(q, kmax)))
         .collect()];
     let mut tracer = Tracer::new(true);
+    // The run's own kernel samples set the scale; these are discarded.
+    let mut speed = Speed::new();
     let (fx, _, _) = setup();
     let arm = Replay {
         fx: &fx,
@@ -829,6 +845,7 @@ pub fn probe(seed: u64) -> BTreeMap<&'static str, f64> {
         model: Some(model),
         refresh: LeveledRefresh::new(cfg),
         tracer: &mut tracer,
+        speed: &mut speed,
         live: Vec::new(),
         arm: Arm::default(),
         version: 0,
