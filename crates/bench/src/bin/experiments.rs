@@ -22,8 +22,8 @@
 //!   adaptive    mid-query adaptive re-planning: abort-and-switch vs
 //!               never-switch vs hindsight-oracle lanes, with and without
 //!               a planted histogram lie
-//!   pool        execution-core microbench: work-stealing pool vs scoped
-//!               threads (host rounds/sec) and FlatMultiMap vs HashMap
+//!   pool        execution-core microbench: lane rounds on the work-stealing
+//!               pool (host rounds/sec) and FlatMultiMap vs HashMap
 //!               build/probe times
 //!   serve       multi-tenant serving front-end: open-loop zipf-tenant
 //!               workload replayed with cross-query work sharing off/on,
@@ -200,7 +200,7 @@ fn tables_json(name: &str, tables: &[Table]) -> String {
 /// (throughput, planner) carry their own.
 fn required_keys(name: &str) -> Vec<&'static str> {
     match name {
-        "throughput" => vec!["experiment", "modes", "speedup", "pool_vs_scoped"],
+        "throughput" => vec!["experiment", "modes", "speedup"],
         "pool" => vec!["experiment", "pool_threads", "lanes", "flatmap"],
         "serve" => vec![
             "experiment",
@@ -427,9 +427,8 @@ fn main() {
             println!("{}", t.render());
         }
         println!(
-            "# execution core: pool/scoped host speedup {:.2}x, sim wall delta {:.1e}s\n",
-            report.substrate_speedup,
-            (report.sim_wall_pool - report.sim_wall_scoped).abs()
+            "# execution core: {:.0} pool rounds/sec, sim wall {:.6}s\n",
+            report.pool_rounds_per_sec, report.sim_wall_pool
         );
     }
     if ran("serve") {

@@ -3,13 +3,11 @@
 //!
 //! Two measurements, both on the real machine clock (everything else in
 //! the harness is simulated time; the execution core is precisely the
-//! part whose *host* cost the pool refactor changes):
+//! part whose *host* cost matters here):
 //!
-//! * **lane substrate** — the same multi-region `run_lanes` round driven
-//!   on the persistent work-stealing pool vs the previous per-round
-//!   `std::thread::scope` lane pool, reporting host rounds/sec for each.
-//!   The simulated wall-clock of both runs is also emitted and must be
-//!   equal — modelled time is substrate-independent by construction.
+//! * **lanes** — the same multi-region `run_lanes` round driven on the
+//!   persistent work-stealing pool, reporting host rounds/sec and the
+//!   simulated wall-clock the rounds charged.
 //! * **flat structures** — `FlatMultiMap` vs `HashMap<Vec<u8>, Vec<u64>>`
 //!   build and probe over the same key distribution, reporting host
 //!   milliseconds per pass (the criterion micros in
@@ -23,8 +21,8 @@ use std::time::Instant;
 use rj_sketch::FlatMultiMap;
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
-use rj_store::parallel::{run_lanes_on, LaneTask};
-use rj_store::{keys, LaneBackend, Mutation, Scan, WorkStealingPool};
+use rj_store::parallel::{run_lanes, LaneTask};
+use rj_store::{keys, Mutation, Scan, WorkStealingPool};
 
 use crate::report::Table;
 
@@ -37,15 +35,8 @@ pub struct PoolReport {
     pub rounds: usize,
     /// Host rounds/sec on the work-stealing pool.
     pub pool_rounds_per_sec: f64,
-    /// Host rounds/sec on per-round scoped threads.
-    pub scoped_rounds_per_sec: f64,
-    /// `pool_rounds_per_sec / scoped_rounds_per_sec`.
-    pub substrate_speedup: f64,
-    /// Simulated wall-clock charged by the pool-backed rounds.
+    /// Simulated wall-clock charged by the rounds.
     pub sim_wall_pool: f64,
-    /// Simulated wall-clock charged by the scoped-thread rounds — must
-    /// equal `sim_wall_pool`.
-    pub sim_wall_scoped: f64,
     /// Host ms to build the `FlatMultiMap` (two-pass, contiguous groups).
     pub flat_build_ms: f64,
     /// Host ms to build the `HashMap` reference.
@@ -71,11 +62,6 @@ impl PoolReport {
             format!("{:.0}", self.pool_rounds_per_sec),
             format!("{:.6}", self.sim_wall_pool),
         ]);
-        lanes.row(vec![
-            "scoped threads".to_owned(),
-            format!("{:.0}", self.scoped_rounds_per_sec),
-            format!("{:.6}", self.sim_wall_scoped),
-        ]);
         let mut flat = Table::new(
             "Flat structures: FlatMultiMap vs HashMap<Vec<u8>, Vec<u64>>",
             &["structure", "build (ms)", "probe (ms)"],
@@ -97,18 +83,13 @@ impl PoolReport {
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"experiment\": \"pool\",\n  \"pool_threads\": {},\n  \"rounds\": {},\n  \
-             \"lanes\": {{\"pool_rounds_per_sec\": {:.1}, \"scoped_rounds_per_sec\": {:.1}, \
-             \"substrate_speedup\": {:.3}, \"sim_wall_pool\": {:.6}, \
-             \"sim_wall_scoped\": {:.6}}},\n  \
+             \"lanes\": {{\"pool_rounds_per_sec\": {:.1}, \"sim_wall_pool\": {:.6}}},\n  \
              \"flatmap\": {{\"flat_build_ms\": {:.3}, \"hash_build_ms\": {:.3}, \
              \"flat_probe_ms\": {:.3}, \"hash_probe_ms\": {:.3}}}\n}}\n",
             self.pool_threads,
             self.rounds,
             self.pool_rounds_per_sec,
-            self.scoped_rounds_per_sec,
-            self.substrate_speedup,
             self.sim_wall_pool,
-            self.sim_wall_scoped,
             self.flat_build_ms,
             self.hash_build_ms,
             self.flat_probe_ms,
@@ -139,9 +120,9 @@ fn lane_cluster() -> Cluster {
     c
 }
 
-/// Drives `rounds` identical 8-task fan-out rounds on one substrate,
-/// returning `(host seconds, simulated wall seconds)`.
-fn drive_lanes(cluster: &Cluster, rounds: usize, backend: LaneBackend) -> (f64, f64) {
+/// Drives `rounds` identical 8-task fan-out rounds on the pool, returning
+/// `(host seconds, simulated wall seconds)`.
+fn drive_lanes(cluster: &Cluster, rounds: usize) -> (f64, f64) {
     let fork = cluster.fork_metrics();
     let started = Instant::now();
     for _ in 0..rounds {
@@ -159,7 +140,7 @@ fn drive_lanes(cluster: &Cluster, rounds: usize, backend: LaneBackend) -> (f64, 
                 })
             })
             .collect();
-        let counts = run_lanes_on(&fork, 4, tasks, backend).expect("lane round");
+        let counts = run_lanes(&fork, 4, tasks).expect("lane round");
         black_box(counts);
     }
     (
@@ -178,16 +159,14 @@ fn flat_pairs(groups: usize, per_group: usize) -> Vec<(Vec<u8>, u64)> {
         .collect()
 }
 
-/// Runs the `pool` experiment: `rounds` lane rounds per substrate plus the
+/// Runs the `pool` experiment: `rounds` lane rounds plus the
 /// flat-structure micro pass.
 pub fn run_poolbench(rounds: usize) -> PoolReport {
     let rounds = rounds.max(1);
     let cluster = lane_cluster();
-    // Warm both substrates (pool spin-up, allocator) outside the clock.
-    drive_lanes(&cluster, 2, LaneBackend::Pool);
-    drive_lanes(&cluster, 2, LaneBackend::ScopedThreads);
-    let (pool_host, sim_wall_pool) = drive_lanes(&cluster, rounds, LaneBackend::Pool);
-    let (scoped_host, sim_wall_scoped) = drive_lanes(&cluster, rounds, LaneBackend::ScopedThreads);
+    // Warm the pool (spin-up, allocator) outside the clock.
+    drive_lanes(&cluster, 2);
+    let (pool_host, sim_wall_pool) = drive_lanes(&cluster, rounds);
 
     let pairs = flat_pairs(4_000, 12);
     let t = Instant::now();
@@ -221,11 +200,7 @@ pub fn run_poolbench(rounds: usize) -> PoolReport {
         pool_threads: WorkStealingPool::global().threads(),
         rounds,
         pool_rounds_per_sec: rounds as f64 / pool_host.max(1e-9),
-        scoped_rounds_per_sec: rounds as f64 / scoped_host.max(1e-9),
-        substrate_speedup: (rounds as f64 / pool_host.max(1e-9))
-            / (rounds as f64 / scoped_host.max(1e-9)),
         sim_wall_pool,
-        sim_wall_scoped,
         flat_build_ms,
         hash_build_ms,
         flat_probe_ms,
@@ -241,13 +216,7 @@ mod tests {
     fn poolbench_runs_and_sim_time_is_substrate_independent() {
         let report = run_poolbench(20);
         assert!(report.pool_rounds_per_sec > 0.0);
-        assert!(report.scoped_rounds_per_sec > 0.0);
-        assert!(
-            (report.sim_wall_pool - report.sim_wall_scoped).abs() < 1e-9,
-            "simulated time leaked the substrate: pool {} vs scoped {}",
-            report.sim_wall_pool,
-            report.sim_wall_scoped
-        );
+        assert!(report.sim_wall_pool > 0.0);
         let json = report.to_json();
         for key in [
             "\"experiment\"",

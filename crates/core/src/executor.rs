@@ -136,11 +136,13 @@ pub struct RankJoinExecutor {
     /// (bit-exact) are part of the key because they are public fields
     /// that feed the estimate/statistics decision — a caller mutating
     /// either must not be served a plan computed under the old value.
-    /// Each entry records the statistics-handle version it was computed
-    /// at, so maintained writes coherently invalidate plans across every
-    /// executor sharing the handle.
+    /// Each entry records the statistics-handle `(version, collections)`
+    /// it was computed at, so maintained writes — and a recollection run
+    /// by any sharer — coherently invalidate plans across every executor
+    /// sharing the handle.
     #[allow(clippy::type_complexity)]
-    plan_cache: Mutex<HashMap<(usize, ExecutionMode, Objective, IslConfig, u64), (u64, Arc<Plan>)>>,
+    plan_cache:
+        Mutex<HashMap<(usize, ExecutionMode, Objective, IslConfig, u64), ((u64, u64), Arc<Plan>)>>,
     /// Candidacy cache: which algorithms are executable right now, both
     /// positive ("ISL prepared, with this config") and negative ("BFHM
     /// not prepared — don't re-check until a `prepare_*`/`attach_*`
@@ -496,12 +498,12 @@ impl RankJoinExecutor {
             self.isl_config,
             self.staleness_bound.to_bits(),
         );
-        // Fast path: a cached plan whose recorded handle version is still
-        // current needs no statistics work at all (version equality means
-        // no delta, invalidation, or collection happened since it was
-        // computed — so the staleness verdict is unchanged too).
-        if let Some((version, plan)) = self.plan_cache.lock().expect("plan cache").get(&key) {
-            if *version == self.stats.version() {
+        // Fast path: a cached plan whose recorded handle stamp is still
+        // current needs no statistics work at all (stamp equality means
+        // no delta, invalidation, correction, or collection happened since
+        // it was computed — so the staleness verdict is unchanged too).
+        if let Some((stamp, plan)) = self.plan_cache.lock().expect("plan cache").get(&key) {
+            if *stamp == (self.stats.version(), self.stats.collections()) {
                 return Ok(plan.clone());
             }
         }
@@ -522,7 +524,7 @@ impl RankJoinExecutor {
         self.plan_cache
             .lock()
             .expect("plan cache")
-            .insert(key, (planned.version, plan.clone()));
+            .insert(key, ((planned.version, planned.collections), plan.clone()));
         Ok(plan)
     }
 
@@ -741,8 +743,6 @@ impl RankJoinExecutor {
         let cluster = self.engine.cluster();
         match algorithm {
             Algorithm::Auto => {
-                // Plan first: the first plan may run the statistics pass,
-                // which bumps the handle version the cursor pins.
                 let plan = self.plan_with_k(k_hint)?;
                 let best = plan.best().ok_or(RankJoinError::Internal(
                     "planner produced no candidate (baselines missing)",
@@ -1484,6 +1484,67 @@ mod tests {
             p2.stats_source
         );
         assert_eq!(ex.stats_handle().collections(), 2);
+    }
+
+    #[test]
+    fn a_statistics_collection_does_not_stale_a_paused_cursor() {
+        let (c, q) = running_example_cluster();
+        let mut ex = RankJoinExecutor::new(&c, q.clone());
+        ex.prepare_isl().unwrap();
+        let mut cursor = ex.open_cursor(Algorithm::Isl, 3).unwrap();
+        let mut results = cursor
+            .next_batch(1, &StopPolicy::default())
+            .unwrap()
+            .results;
+        let state = cursor.pause();
+        // The first plan runs the full statistics pass: a pure read.
+        let _ = ex.plan().unwrap();
+        assert_eq!(ex.stats_handle().collections(), 1);
+        let mut resumed = ex.resume_cursor(state).unwrap();
+        loop {
+            let batch = resumed.next_batch(3, &StopPolicy::default()).unwrap();
+            results.extend(batch.results);
+            if batch.done {
+                break;
+            }
+        }
+        assert_eq!(results, oracle::topk(&c, &q).unwrap());
+    }
+
+    #[test]
+    fn a_sharers_recollection_refreshes_every_cached_plan() {
+        let (c, q) = running_example_cluster();
+        let mut lax = RankJoinExecutor::new(&c, q.clone());
+        lax.prepare_isl().unwrap();
+        lax.staleness_bound = 1.0;
+        let mut strict = RankJoinExecutor::new(&c, q.clone());
+        strict.attach_isl(&isl::index_table_name(&q)).unwrap();
+        strict.attach_stats(lax.stats_handle()).unwrap();
+        strict.staleness_bound = 0.0;
+        let _ = lax.plan().unwrap();
+        lax.stats_handle()
+            .apply_delta(&crate::statsmaint::StatsDelta {
+                table: q.left.table.clone(),
+                join_col: q.left.join_col.clone(),
+                score_col: q.left.score_col.clone(),
+                op: crate::statsmaint::DeltaOp::Insert,
+                join_fingerprint: 7,
+                score: 0.5,
+                entry_bytes: 32.0,
+            });
+        let cached = lax.plan().unwrap();
+        assert!(matches!(
+            cached.stats_source,
+            crate::planner::StatsSource::Maintained { staleness } if staleness > 0.0
+        ));
+        // The strict sharer recollects without bumping the version; the
+        // lax sharer's cached plan must still give way to the fresh pass.
+        let _ = strict.plan().unwrap();
+        assert_eq!(lax.stats_handle().collections(), 2);
+        assert_eq!(
+            lax.plan().unwrap().stats_source,
+            crate::planner::StatsSource::Maintained { staleness: 0.0 }
+        );
     }
 
     #[test]

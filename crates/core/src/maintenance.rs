@@ -444,6 +444,12 @@ mod tests {
             fn apply_delta(&self, delta: &StatsDelta) {
                 self.0.lock().unwrap().push(delta.clone());
             }
+            fn version(&self) -> u64 {
+                self.0.lock().unwrap().len() as u64
+            }
+            fn staleness(&self) -> f64 {
+                f64::INFINITY
+            }
         }
         let (c, q) = running_example_cluster();
         let recorder = Arc::new(Recorder(Mutex::new(Vec::new())));

@@ -27,7 +27,7 @@ use crate::multiway::index;
 use crate::multiway::planner::{choose_access, SharedSpecStats};
 use crate::query::JoinSpec;
 use crate::stats::QueryOutcome;
-use crate::statsmaint::DEFAULT_STALENESS_BOUND;
+use crate::statsmaint::{StatsMaintainer, DEFAULT_STALENESS_BOUND};
 
 enum SpecKind {
     /// Two sides: the binary executor, delegated to verbatim.
@@ -58,6 +58,18 @@ pub struct SpecExecutor {
     pub staleness_bound: f64,
 }
 
+/// Wraps a configured binary executor as its two-side spec, unchanged:
+/// its ISL config, execution mode, staleness bound, prepared indices, and
+/// shared [`SharedTableStats`](crate::statsmaint::SharedTableStats)
+/// handle all carry over.
+impl From<RankJoinExecutor> for SpecExecutor {
+    fn from(executor: RankJoinExecutor) -> Self {
+        let cluster = executor.engine().cluster().clone();
+        let spec = executor.query().to_spec();
+        SpecExecutor::with_kind(&cluster, spec, SpecKind::Binary(Box::new(executor)))
+    }
+}
+
 impl SpecExecutor {
     /// Creates an executor for `spec` on `cluster`.
     pub fn new(cluster: &Cluster, spec: JoinSpec) -> Self {
@@ -68,6 +80,10 @@ impl SpecExecutor {
                 stats: SharedSpecStats::new(&spec),
             },
         };
+        SpecExecutor::with_kind(cluster, spec, kind)
+    }
+
+    fn with_kind(cluster: &Cluster, spec: JoinSpec, kind: SpecKind) -> Self {
         SpecExecutor {
             engine: MapReduceEngine::new(cluster.clone()),
             spec,
@@ -126,22 +142,42 @@ impl SpecExecutor {
         }
     }
 
-    /// Current statistics coherence version — binary delegates to the
-    /// table-stats handle, N-ary to the spec-stats handle.
-    pub fn stats_version(&self) -> u64 {
+    /// The statistics handle backing the spec — the binary executor's
+    /// table-stats handle for two sides, the spec-stats handle otherwise.
+    /// Caches version against it without locking the executor.
+    pub fn stats(&self) -> Arc<dyn StatsMaintainer> {
         match &self.kind {
-            SpecKind::Binary(b) => b.stats_handle().version(),
-            SpecKind::Nary { stats, .. } => stats.version(),
+            SpecKind::Binary(b) => b.stats_handle(),
+            SpecKind::Nary { stats, .. } => stats.clone(),
+        }
+    }
+
+    /// The staleness bound in force: the binary executor's own
+    /// [`RankJoinExecutor::staleness_bound`] for two sides, this
+    /// executor's [`staleness_bound`](SpecExecutor::staleness_bound)
+    /// field otherwise.
+    pub fn staleness_bound(&self) -> f64 {
+        match &self.kind {
+            SpecKind::Binary(b) => b.staleness_bound,
+            SpecKind::Nary { .. } => self.staleness_bound,
         }
     }
 
     /// Builds the score index: the binary ISL index for two sides, the
-    /// multiway index ([`index::build`]) otherwise.
+    /// multiway index ([`index::build`]) otherwise. Calling this again
+    /// drops and rebuilds the index from the current base data, with the
+    /// binary `prepare_*` contract: the table slot stays empty until the
+    /// fresh build completes.
     pub fn prepare(&mut self) -> Result<BuildStats> {
         match &mut self.kind {
             SpecKind::Binary(b) => b.prepare_isl(),
             SpecKind::Nary { table, stats } => {
                 let name = index::index_table_name(&self.spec);
+                *table = None;
+                let cluster = self.engine.cluster();
+                if cluster.table(&name).is_ok() {
+                    cluster.drop_table(&name)?;
+                }
                 let built = index::build(&self.engine, &self.spec, &name)?;
                 *table = Some(name);
                 // Same contract as the binary `prepare_*`: preparation
@@ -150,6 +186,20 @@ impl SpecExecutor {
                 stats.invalidate();
                 Ok(built)
             }
+        }
+    }
+
+    /// Rebuilds the index ([`SpecExecutor::prepare`]) and runs a fresh
+    /// statistics pass, restarting the staleness clock at zero — so a
+    /// serving layer's staleness-driven rebuild does not leave staleness
+    /// unbounded and re-trigger itself.
+    pub fn rebuild(&mut self) -> Result<()> {
+        self.prepare()?;
+        match &self.kind {
+            SpecKind::Binary(b) => b.plan().map(|_| ()),
+            SpecKind::Nary { stats, .. } => stats
+                .stats_for_planning(self.engine.cluster(), self.staleness_bound)
+                .map(|_| ()),
         }
     }
 
@@ -294,7 +344,7 @@ impl SpecExecutor {
 
     fn check_cursor_version(&self, state: &CursorState) -> Result<()> {
         if let Some(expected) = state.pinned_version() {
-            let found = self.stats_version();
+            let found = self.stats().version();
             if expected != found {
                 return Err(RankJoinError::StaleCursor { expected, found });
             }
@@ -376,6 +426,41 @@ mod tests {
         assert_eq!(outcome.algorithm, "MULTIWAY");
         assert_eq!(outcome.results, oracle::topk_spec(&c, &spec).unwrap());
         assert!(outcome.metrics.kv_reads > 0, "index reads are billed");
+    }
+
+    #[test]
+    fn nary_prepare_twice_rebuilds_over_the_old_index() {
+        let (c, spec) = three_way_path_cluster(5);
+        let mut exec = SpecExecutor::new(&c, spec.clone());
+        exec.prepare().unwrap();
+        exec.prepare().unwrap();
+        assert!(exec.prepared());
+        let outcome = exec.execute().unwrap();
+        assert_eq!(outcome.results, oracle::topk_spec(&c, &spec).unwrap());
+    }
+
+    #[test]
+    fn from_binary_keeps_the_configured_executor() {
+        let (c, q) = running_example_cluster();
+        let mut binary = RankJoinExecutor::new(&c, q.clone());
+        binary.isl_config = crate::isl::IslConfig::uniform(2);
+        binary.staleness_bound = 0.5;
+        binary.prepare_isl().unwrap();
+        let handle = binary.stats_handle();
+        let exec = SpecExecutor::from(binary);
+        assert!(exec.is_binary() && exec.prepared());
+        assert_eq!(exec.fingerprint(), q.to_spec().fingerprint());
+        assert_eq!(exec.staleness_bound(), 0.5);
+        assert_eq!(
+            exec.binary().unwrap().isl_config,
+            crate::isl::IslConfig::uniform(2)
+        );
+        handle.invalidate();
+        assert_eq!(exec.stats().version(), handle.version());
+        assert_eq!(
+            exec.execute_with_k(3).unwrap().results,
+            oracle::topk(&c, &q.with_k(3)).unwrap()
+        );
     }
 
     #[test]

@@ -248,7 +248,8 @@ impl MaintainedSpec {
 
 /// One spec's `Arc`-shared, incrementally-maintained statistics — the
 /// N-side sibling of [`crate::statsmaint::SharedTableStats`], fed by the
-/// same [`StatsDelta`] fan-out.
+/// same [`StatsDelta`] fan-out and versioned by the same rule (see the
+/// [`crate::statsmaint`] module docs).
 ///
 /// A delta matches side `i` when its `(table, score_col)` equal the
 /// side's and its `join_col` is one of the side's incident edge columns.
@@ -283,9 +284,8 @@ impl SharedSpecStats {
         &self.spec
     }
 
-    /// Current coherence version (bumped by maintained deltas and
-    /// invalidations — *not* by collections, which only read the data
-    /// and must not spuriously invalidate caches or pinned cursors).
+    /// Current coherence version, under the one rule stated in the
+    /// [`crate::statsmaint`] module docs.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
@@ -481,6 +481,14 @@ impl StatsMaintainer for SharedSpecStats {
             }
         }
         self.version.fetch_add(1, Ordering::AcqRel);
+    }
+
+    fn version(&self) -> u64 {
+        SharedSpecStats::version(self)
+    }
+
+    fn staleness(&self) -> f64 {
+        SharedSpecStats::staleness(self)
     }
 }
 

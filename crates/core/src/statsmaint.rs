@@ -43,6 +43,17 @@
 //! entries are versioned against it so every delta coherently invalidates
 //! stale plans everywhere.
 //!
+//! **The versioning rule.** Every statistics handle — [`SharedTableStats`]
+//! here and [`SharedSpecStats`](crate::multiway::SharedSpecStats) for
+//! N-ary specs — keeps one atomic coherence version, and only three
+//! events bump it: a maintained delta, an invalidation (index
+//! preparation), and a mid-query descent correction. A full collection
+//! does **not**: it only reads the data, so it must not stale the cursors
+//! pinned to the version or the serving caches versioned against it.
+//! Plan caches, which *do* depend on the snapshot a collection installs,
+//! key their entries on the version together with
+//! [`SharedTableStats::collections`].
+//!
 //! **What the bound can and cannot see.** The mutation counter advances
 //! only on deltas, i.e. on writes routed through `MaintainedSide` — so
 //! the bound covers the maintained path's *own* imperfections (the
@@ -146,9 +157,19 @@ pub struct StatsDelta {
 /// Anything that wants to observe maintained-write deltas — the §6 write
 /// path fans each mutation out to every registered maintainer, mirroring
 /// how it fans the mutation itself out to the attached indices.
+///
+/// The coherence readers let a serving layer version its caches against
+/// whichever handle backs a query without knowing the query's arity.
 pub trait StatsMaintainer: Send + Sync {
     /// Folds one write's delta in.
     fn apply_delta(&self, delta: &StatsDelta);
+
+    /// Current coherence version (see the module docs for what bumps it).
+    fn version(&self) -> u64;
+
+    /// Mutated fraction since the last full statistics pass
+    /// (`f64::INFINITY` before the first).
+    fn staleness(&self) -> f64;
 }
 
 /// The maintained snapshot plus the bookkeeping deltas need to merge
@@ -282,6 +303,10 @@ pub struct PlannedStats {
     /// keyed on it go stale the moment another delta or invalidation
     /// lands.
     pub version: u64,
+    /// Full passes the handle had run when the snapshot was read — the
+    /// other half of the plan-cache key, so one sharer's recollection
+    /// refreshes every sharer's plans.
+    pub collections: u64,
 }
 
 /// One query pair's `Arc`-shared, incrementally-maintained statistics.
@@ -295,9 +320,8 @@ pub struct PlannedStats {
 /// [`MaintainedSide::with_stats`](crate::maintenance::MaintainedSide::with_stats).
 pub struct SharedTableStats {
     query: RankJoinQuery,
-    /// Bumped by every delta, invalidation, and collection — the
-    /// plan-cache coherence token. Atomic so readers never block on the
-    /// snapshot lock.
+    /// The coherence token (see the module docs for what bumps it).
+    /// Atomic so readers never block on the snapshot lock.
     version: AtomicU64,
     /// Full statistics passes run through this handle (tests assert the
     /// below-bound path never grows it).
@@ -323,7 +347,7 @@ impl SharedTableStats {
     }
 
     /// Current coherence version (bumped by deltas, invalidations, and
-    /// collections).
+    /// mid-query corrections — never by collections).
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
@@ -488,7 +512,6 @@ impl SharedTableStats {
                 midquery_divergence: None,
             });
             self.collections.fetch_add(1, Ordering::Relaxed);
-            self.version.fetch_add(1, Ordering::AcqRel);
         }
         let m = guard.as_mut().ok_or(RankJoinError::Internal(
             "stats snapshot missing after ensure",
@@ -501,6 +524,7 @@ impl SharedTableStats {
             stats: Arc::new(m.detail.stats.clone()),
             source,
             version: self.version(),
+            collections: self.collections(),
         })
     }
 }
@@ -534,6 +558,14 @@ impl StatsMaintainer for SharedTableStats {
             }
         }
         self.version.fetch_add(1, Ordering::AcqRel);
+    }
+
+    fn version(&self) -> u64 {
+        SharedTableStats::version(self)
+    }
+
+    fn staleness(&self) -> f64 {
+        SharedTableStats::staleness(self)
     }
 }
 

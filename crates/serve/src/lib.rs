@@ -23,17 +23,22 @@
 //!   inside a class: a tenant's *pass* advances by charged simulated
 //!   seconds over its weight, and the scheduler always serves the
 //!   smallest pass — long-run service is proportional to weight.
+//! * **One backend type** — every backend, binary or multi-way, is a
+//!   [`rj_core::multiway::SpecExecutor`]; a binary
+//!   [`rj_core::executor::RankJoinExecutor`] registers as its two-side
+//!   spec. Everything above it — admission, fairness, coalescing, the
+//!   prefix and warm caches — is arity agnostic.
 //! * **Work sharing** — concurrent sessions on the same registered
 //!   backend (same canonical [`rj_core::JoinSpec`] fingerprint, same
 //!   execution config) coalesce onto one execution at the deepest
 //!   requested `k`; because every algorithm returns one deterministic
 //!   total order (score, then key), a completed depth-`k'` answer serves
 //!   any later `k ≤ k'` session straight from the **result-prefix
-//!   cache**. Cache entries are versioned against the backend's
-//!   statistics handle ([`rj_core::SharedTableStats`] for binary pairs,
-//!   [`rj_core::SharedSpecStats`] for multi-way specs) — the same
-//!   version counter maintained writes bump — so a stale prefix is
-//!   never served.
+//!   cache**. Cache entries are versioned against the spec's statistics
+//!   handle under the one versioning rule of [`rj_core::statsmaint`]:
+//!   maintained writes and rebuilds bump it, statistics collections do
+//!   not — so a stale prefix is never served, and a pure read never
+//!   drops a valid one.
 //! * **Background maintenance** — index rebuilds run at the pool's
 //!   [`rj_store::PoolPriority::Background`] class: they soak idle
 //!   capacity and never queue ahead of interactive query batches.
@@ -50,14 +55,12 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod backend;
 pub mod error;
 pub mod service;
 pub mod session;
 pub mod sharing;
 pub mod tenant;
 
-pub use backend::BackendExec;
 pub use error::ServeError;
 pub use service::{BackendId, RankJoinService, RoundReport, ServeConfig, ServeCounters};
 pub use session::{

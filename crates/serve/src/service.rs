@@ -27,12 +27,12 @@ use rj_core::error::RankJoinError;
 use rj_core::executor::RankJoinExecutor;
 use rj_core::multiway::SpecExecutor;
 use rj_core::result::JoinTuple;
+use rj_core::statsmaint::StatsMaintainer;
 use rj_store::cluster::Cluster;
 use rj_store::metrics::MetricsSnapshot;
 use rj_store::pool::{PoolPriority, WorkStealingPool};
 
 use crate::admission::{select_round, Candidate};
-use crate::backend::{BackendExec, StatsHandle};
 use crate::error::ServeError;
 use crate::session::{
     PageInfo, PageToken, ServedBy, SessionId, SessionOutcome, SessionResult, SessionStatus,
@@ -48,7 +48,8 @@ use crate::tenant::{accumulate, TenantId, TenantProfile, TenantState};
 /// `(`[`JoinSpec` fingerprint](rj_core::query::JoinSpec::fingerprint)`,
 /// execution config)` — the fingerprint covers every side and edge, so
 /// a multi-way spec extending a binary pair can never alias the pair's
-/// backend (or its caches).
+/// backend (or its caches), while a two-side spec and the equivalent
+/// binary registration share one backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BackendId(usize);
 
@@ -152,16 +153,17 @@ pub struct RoundReport {
 /// needs, shared immutably.
 struct TenantFork {
     cluster: Cluster,
-    executor: BackendExec,
+    executor: SpecExecutor,
 }
 
 struct BackendState {
     /// The registered executor; mutated only by background rebuilds.
-    prototype: Arc<Mutex<BackendExec>>,
+    prototype: Arc<Mutex<SpecExecutor>>,
     /// The spec's shared statistics handle — the coherence backbone:
     /// maintained writes and re-preparations bump its version, which
-    /// invalidates the prefix entry below.
-    stats: StatsHandle,
+    /// invalidates the prefix entry below. Held outside the prototype
+    /// lock, which a background rebuild may hold.
+    stats: Arc<dyn StatsMaintainer>,
     /// Lazily created per-tenant execution forks.
     forks: HashMap<TenantId, Arc<TenantFork>>,
     /// The partial-work cache: deepest completed answer plus deepest
@@ -337,32 +339,33 @@ impl RankJoinService {
         }
     }
 
-    /// Registers a binary query backend from a prototype executor. The
-    /// executor must have an ISL index prepared or attached (the serving
-    /// layer executes through batch-boundary-stoppable cursors over the
-    /// index). The backend's share key for coalescing and the prefix
-    /// cache is the canonical spec fingerprint of its query plus its
-    /// execution config; registering an equivalent executor again
-    /// returns the existing backend (so its sessions share work), and a
-    /// multi-way spec extending the same pair gets a different key.
+    /// Registers a binary query backend from a prototype executor — the
+    /// executor's two-side spec ([`SpecExecutor::from`]) registered
+    /// through [`RankJoinService::register_spec_backend`].
     pub fn register_backend(&self, executor: RankJoinExecutor) -> Result<BackendId, ServeError> {
-        self.register_exec(BackendExec::Binary(Box::new(executor)))
+        self.register_spec_backend(executor.into())
     }
 
-    /// Registers a spec-driven backend — binary or multi-way — from a
-    /// prototype [`SpecExecutor`]. Same preconditions and share-key
-    /// semantics as [`RankJoinService::register_backend`]; a two-side
-    /// spec shares keys (and therefore caches) with the equivalent
-    /// binary registration, because it *is* the same execution.
-    pub fn register_spec_backend(&self, executor: SpecExecutor) -> Result<BackendId, ServeError> {
-        self.register_exec(BackendExec::Spec(executor))
-    }
-
-    fn register_exec(&self, exec: BackendExec) -> Result<BackendId, ServeError> {
+    /// Registers a backend — binary or multi-way — from a prototype
+    /// [`SpecExecutor`]. The executor must have its score index prepared
+    /// or attached (the serving layer executes through
+    /// batch-boundary-stoppable cursors over the index). The backend's
+    /// share key for coalescing and the prefix cache is the canonical
+    /// spec fingerprint plus the execution config; registering an
+    /// equivalent executor again returns the existing backend (so its
+    /// sessions share work), and a multi-way spec extending a binary
+    /// pair gets a different key.
+    pub fn register_spec_backend(&self, exec: SpecExecutor) -> Result<BackendId, ServeError> {
         if !exec.prepared() {
             return Err(ServeError::NotIslPrepared);
         }
-        let key = (exec.fingerprint(), exec.config_sig());
+        // The execution-configuration half of the share key: two backends
+        // share work only if both the spec *and* the way it executes match.
+        let config = match exec.binary() {
+            Some(b) => format!("isl:{:?}:{:?}", b.isl_config, b.execution_mode),
+            None => format!("mw:{:?}:{:?}", exec.config, exec.access_override),
+        };
+        let key = (exec.fingerprint(), config);
         let stats = exec.stats();
         let mut st = self.lock();
         if let Some(&existing) = st.share_keys.get(&key) {
@@ -821,7 +824,7 @@ impl RankJoinService {
             report.dispatched = picked.len();
             let groups = Self::plan_groups(&mut st, &picked, &self.config)?;
             let pending: Vec<usize> = st.maintenance.drain(..).collect();
-            let maintenance: Vec<(usize, Arc<Mutex<BackendExec>>)> = pending
+            let maintenance: Vec<(usize, Arc<Mutex<SpecExecutor>>)> = pending
                 .into_iter()
                 .map(|b| (b, Arc::clone(&st.backends[b].prototype)))
                 .collect();
@@ -1114,7 +1117,7 @@ impl RankJoinService {
         }
         let prototype = Arc::clone(&st.backends[backend_idx].prototype);
         let proto = prototype.lock().expect("backend prototype poisoned");
-        let cluster = proto.cluster().fork_metrics();
+        let cluster = proto.engine().cluster().fork_metrics();
         let executor = proto.fork_onto(&cluster)?;
         drop(proto);
         let fork = Arc::new(TenantFork { cluster, executor });

@@ -640,6 +640,35 @@ fn stale_continuation_is_refused_with_typed_error() {
 }
 
 #[test]
+fn a_statistics_collection_keeps_a_parked_page_alive() {
+    let (c, q) = fixture();
+    let executor = prepared_executor(&c, &q);
+    let stats = executor.stats_handle();
+    let service = RankJoinService::new(test_config());
+    let backend = service.register_backend(executor).unwrap();
+    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    let id = service
+        .submit(tenant, backend, SubmitOptions::topk(20).with_page_size(5))
+        .unwrap();
+    service.run_round().unwrap();
+    // A full statistics pass only reads the data: it must not strand
+    // the parked cursor.
+    stats.stats_for_planning(&c, 0.1).unwrap();
+    assert_eq!(stats.collections(), 1);
+    let result = loop {
+        match service.poll(id).unwrap() {
+            SessionStatus::Paged(info) => {
+                service.next_page(info.token).unwrap();
+            }
+            SessionStatus::Done(result) => break result,
+            other => panic!("unexpected status {other:?}"),
+        }
+    };
+    assert_eq!(result.outcome, SessionOutcome::Complete);
+    assert_eq!(*result.results, oracle::topk(&c, &q.with_k(20)).unwrap());
+}
+
+#[test]
 fn held_group_absorbs_later_arrivals_into_one_execution() {
     let mut config = test_config();
     config.coalesce_hold_rounds = 1;
@@ -900,5 +929,51 @@ fn three_way_spec_never_aliases_its_binary_prefix() {
     assert_eq!(
         *spec_result.results,
         rj_core::oracle::topk_spec(&c, &spec).unwrap()
+    );
+}
+
+#[test]
+fn three_way_backend_rebuilds_over_its_old_index() {
+    let (c, spec) = three_way_fixture();
+    let mut exec = rj_core::multiway::SpecExecutor::new(&c, spec.clone());
+    exec.prepare().unwrap();
+    let service = RankJoinService::new(test_config());
+    let backend = service.register_spec_backend(exec).unwrap();
+    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    let first = service
+        .submit(tenant, backend, SubmitOptions::topk(5))
+        .unwrap();
+    service.run_until_idle().unwrap();
+    assert_eq!(done(&service, first).outcome, SessionOutcome::Complete);
+    // New base data the old index does not hold, then a rebuild with the
+    // old multiway table still in place.
+    c.client()
+        .mutate_row(
+            "ta",
+            b"ta_new",
+            vec![
+                rj_store::cell::Mutation::put("d", b"jk", b"a".to_vec()),
+                rj_store::cell::Mutation::put("d", b"score", 0.99f64.to_be_bytes().to_vec()),
+            ],
+        )
+        .unwrap();
+    service.schedule_rebuild(backend).unwrap();
+    service.run_until_idle().unwrap();
+    let counters = service.counters();
+    assert_eq!(counters.maintenance_runs, 1);
+    assert_eq!(counters.maintenance_failures, 0);
+    let fresh = service
+        .submit(tenant, backend, SubmitOptions::topk(5))
+        .unwrap();
+    service.run_until_idle().unwrap();
+    let result = done(&service, fresh);
+    assert_eq!(
+        result.served_by,
+        ServedBy::Execution,
+        "stale prefix refused"
+    );
+    assert_eq!(
+        *result.results,
+        rj_core::oracle::topk_spec(&c, &spec.with_k(5)).unwrap()
     );
 }

@@ -32,7 +32,7 @@
 //! and node-busy seconds on its own non-time-charging client and charges
 //! the makespan under the *caller's* requested lane width, so counted
 //! metrics and simulated wall-clock are byte-identical whether a batch
-//! runs here, on scoped threads, or inline.
+//! runs here or inline.
 //!
 //! Task panics are caught per task and re-raised on the submitting thread
 //! (first panicking task in submission order), leaving the pool healthy.
