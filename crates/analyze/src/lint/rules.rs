@@ -211,10 +211,8 @@ impl FileScope {
                 || p.starts_with("crates/tpch/")
                 || p.starts_with("crates/mapreduce/")
                 || p.starts_with("src/"));
-        let thread_allowlisted = is_shim
-            || p == "crates/store/src/pool.rs"
-            || p == "crates/store/src/parallel.rs"
-            || p.starts_with("crates/mapreduce/");
+        let thread_allowlisted =
+            is_shim || p == "crates/store/src/pool.rs" || p.starts_with("crates/mapreduce/");
         FileScope {
             is_library_src,
             no_unwrap_scope,

@@ -134,6 +134,11 @@ fn raw_thread_spawn_outside_the_core_fires() {
         rules_of(&scan("crates/bench/src/x.rs", scoped)),
         ["thread-discipline"]
     );
+    // The parallel read paths run on the pool; they create no threads.
+    assert_eq!(
+        rules_of(&scan("crates/store/src/parallel.rs", src)),
+        ["thread-discipline"]
+    );
 }
 
 #[test]
@@ -141,7 +146,6 @@ fn thread_allowlist_and_tests_are_accepted() {
     let src = "pub fn f() { std::thread::spawn(|| {}); }\n";
     for path in [
         "crates/store/src/pool.rs",
-        "crates/store/src/parallel.rs",
         "crates/mapreduce/src/lib.rs",
         "shims/parking_lot/src/lib.rs",
         "crates/serve/tests/x.rs",

@@ -55,7 +55,7 @@ use rj_store::parallel::ExecutionMode;
 
 use crate::error::Result;
 use crate::executor::Algorithm;
-use crate::hrjn::{HrjnState, Side};
+use crate::hrjn::HrjnState;
 use crate::isl::{self, BatchVerdict, IslConfig, IslRun};
 use crate::planner::{DescentModel, Plan, STAT_BUCKETS};
 use crate::query::RankJoinQuery;
@@ -114,7 +114,7 @@ impl DivergenceObserver {
 
     /// The per-batch verdict (see [`isl::run_observed`]).
     pub(crate) fn after_batch(&mut self, state: &HrjnState, batches: u64) -> BatchVerdict {
-        for (i, side) in [Side::Left, Side::Right].into_iter().enumerate() {
+        for side in 0..2 {
             let depth = state.consumed(side);
             if depth < MIN_OBSERVED_TUPLES {
                 continue;
@@ -122,7 +122,7 @@ impl DivergenceObserver {
             let Some((_, low)) = state.side_bounds(side) else {
                 continue;
             };
-            let predicted = self.model.expected_score_at_depth(i, depth as u64);
+            let predicted = self.model.expected_score_at_depth(side, depth as u64);
             self.max_divergence = self.max_divergence.max((low - predicted).abs());
         }
         if self.force_after.is_some_and(|n| batches >= n) || self.max_divergence > self.bound {
@@ -196,7 +196,7 @@ pub(crate) fn run_isl(
 /// [`apply_observed_descent`](crate::statsmaint::SharedTableStats::apply_observed_descent)
 /// — shared by the one-shot abort path and the cursor switch path.
 pub(crate) fn observed_from(state: &HrjnState) -> [Option<ObservedDescent>; 2] {
-    [Side::Left, Side::Right].map(|side| {
+    [0, 1].map(|side| {
         let (max_score, low_score) = state.side_bounds(side)?;
         Some(ObservedDescent {
             hist: state.observed_histogram(side, STAT_BUCKETS),
@@ -246,28 +246,33 @@ mod tests {
         )
     }
 
-    fn feed(state: &mut HrjnState, side: Side, scores: &[f64]) {
+    fn feed(state: &mut HrjnState, side: usize, scores: &[f64]) {
         for (i, &s) in scores.iter().enumerate() {
             state.push(
                 side,
-                RankedTuple {
-                    key: format!("k{i}").into_bytes(),
-                    join_value: format!("j{i}").into_bytes(),
-                    score: s,
-                },
+                &RankedTuple::new(
+                    format!("k{i}").into_bytes(),
+                    format!("j{i}").into_bytes(),
+                    s,
+                ),
             );
         }
+    }
+
+    fn fresh_state() -> HrjnState {
+        let (_, q) = running_example_cluster();
+        HrjnState::new(&q.to_spec())
     }
 
     #[test]
     fn truthful_descent_never_trips() {
         let plan = example_plan();
         let mut obs = DivergenceObserver::new(&plan, DEFAULT_REPLAN_DIVERGENCE, None);
-        let mut state = HrjnState::new(3, crate::score::ScoreFn::Sum);
+        let mut state = fresh_state();
         // The real running-example descents (left: 1.0, .93, .82, .82;
         // right: .92, .91, .64, .53).
-        feed(&mut state, Side::Left, &[1.0, 0.93, 0.82, 0.82]);
-        feed(&mut state, Side::Right, &[0.92, 0.91, 0.64, 0.53]);
+        feed(&mut state, 0, &[1.0, 0.93, 0.82, 0.82]);
+        feed(&mut state, 1, &[0.92, 0.91, 0.64, 0.53]);
         assert_eq!(obs.after_batch(&state, 1), BatchVerdict::Continue);
         assert!(
             obs.divergence() <= 0.02,
@@ -280,11 +285,11 @@ mod tests {
     fn lied_descent_trips_the_bound() {
         let plan = example_plan();
         let mut obs = DivergenceObserver::new(&plan, DEFAULT_REPLAN_DIVERGENCE, None);
-        let mut state = HrjnState::new(3, crate::score::ScoreFn::Sum);
+        let mut state = fresh_state();
         // Reality descends to 0.3 where the histogram claims the 4th-best
         // left tuple still scores 0.82.
-        feed(&mut state, Side::Left, &[0.6, 0.5, 0.4, 0.3]);
-        feed(&mut state, Side::Right, &[0.92, 0.91, 0.64, 0.53]);
+        feed(&mut state, 0, &[0.6, 0.5, 0.4, 0.3]);
+        feed(&mut state, 1, &[0.92, 0.91, 0.64, 0.53]);
         assert_eq!(obs.after_batch(&state, 1), BatchVerdict::Abort);
         assert!(obs.divergence() > DEFAULT_REPLAN_DIVERGENCE);
     }
@@ -294,9 +299,9 @@ mod tests {
         let plan = example_plan();
         for bound in [f64::INFINITY, f64::NAN] {
             let mut obs = DivergenceObserver::new(&plan, bound, None);
-            let mut state = HrjnState::new(3, crate::score::ScoreFn::Sum);
-            feed(&mut state, Side::Left, &[0.2, 0.1, 0.05, 0.01]);
-            feed(&mut state, Side::Right, &[0.2, 0.1, 0.05, 0.01]);
+            let mut state = fresh_state();
+            feed(&mut state, 0, &[0.2, 0.1, 0.05, 0.01]);
+            feed(&mut state, 1, &[0.2, 0.1, 0.05, 0.01]);
             assert_eq!(obs.after_batch(&state, 9), BatchVerdict::Continue);
         }
     }
@@ -305,7 +310,7 @@ mod tests {
     fn forced_hook_aborts_regardless_of_divergence() {
         let plan = example_plan();
         let mut obs = DivergenceObserver::new(&plan, f64::INFINITY, Some(2));
-        let state = HrjnState::new(3, crate::score::ScoreFn::Sum);
+        let state = fresh_state();
         assert_eq!(obs.after_batch(&state, 1), BatchVerdict::Continue);
         assert_eq!(obs.after_batch(&state, 2), BatchVerdict::Abort);
     }
@@ -314,9 +319,9 @@ mod tests {
     fn below_floor_observations_are_not_judged() {
         let plan = example_plan();
         let mut obs = DivergenceObserver::new(&plan, 0.01, None);
-        let mut state = HrjnState::new(3, crate::score::ScoreFn::Sum);
+        let mut state = fresh_state();
         // Three wildly diverging tuples — still under the 4-tuple floor.
-        feed(&mut state, Side::Left, &[0.1, 0.05, 0.01]);
+        feed(&mut state, 0, &[0.1, 0.05, 0.01]);
         assert_eq!(obs.after_batch(&state, 1), BatchVerdict::Continue);
         assert_eq!(obs.divergence(), 0.0);
     }

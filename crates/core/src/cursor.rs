@@ -14,9 +14,11 @@
 //! * [`CursorState`] — the detached state: plain owned data (scan
 //!   positions, consumed-tuple logs, partial accumulators), serializable
 //!   in principle, pinned to the statistics version it was opened under.
-//! * [`IslCursor`] — ISL/HRJN as a cursor: the batched alternating
-//!   descent of [`crate::isl`] generalized from PR 5's abort seam into
-//!   first-class suspend/resume.
+//! * [`IslCursor`] — HRJN over score-ordered index lists as a cursor, the
+//!   one descent cursor behind both ISL (the batched alternating descent
+//!   of [`crate::isl`] over the binary index) and the N-ary multiway path
+//!   (round-robin over the [`crate::multiway`] index, with optional
+//!   materialized sides). Only the index's cell decoder differs.
 //! * [`MaterializedCursor`] — the bulk MapReduce algorithms (Hive, Pig,
 //!   IJLMR) as cursors: the one-shot run executes on the first pull (MR
 //!   jobs are not incremental — all reads are charged then, exactly the
@@ -50,6 +52,7 @@
 use std::collections::VecDeque;
 
 use rj_mapreduce::MapReduceEngine;
+use rj_store::cell::Cell;
 use rj_store::client::ScannerState;
 use rj_store::cluster::Cluster;
 use rj_store::keys;
@@ -59,9 +62,10 @@ use rj_store::scan::Scan;
 use crate::cancel::{StopPolicy, StopReason};
 use crate::codec;
 use crate::error::{RankJoinError, Result};
-use crate::hrjn::{HrjnState, RankedTuple, Side};
+use crate::hrjn::{HrjnState, RankedTuple};
 use crate::isl::{BatchVerdict, IslConfig};
-use crate::query::RankJoinQuery;
+use crate::multiway::SideAccess;
+use crate::query::{JoinSpec, RankJoinQuery};
 use crate::result::JoinTuple;
 
 /// Component-wise sum of two metric snapshots (deltas compose).
@@ -215,7 +219,7 @@ pub struct CursorState {
 /// The per-algorithm payloads of a [`CursorState`].
 #[derive(Clone)]
 pub(crate) enum StateInner {
-    /// ISL/HRJN descent state.
+    /// ISL/HRJN descent state (binary ISL or multiway index).
     Isl(Box<IslCore>),
     /// BFHM guarantee-loop state.
     Bfhm(Box<crate::bfhm::BfhmCore>),
@@ -223,8 +227,6 @@ pub(crate) enum StateInner {
     Drjn(Box<crate::drjn::DrjnCore>),
     /// Bulk-MR algorithm state (buffered one-shot answer).
     Materialized(Box<MaterializedCore>),
-    /// N-ary multiway descent state.
-    Multiway(Box<crate::multiway::cursor::MultiwayCore>),
     /// An `Algorithm::Auto` cursor: the currently-driving inner state
     /// plus whether the adaptive switch already happened.
     Auto(Box<AutoCore>),
@@ -257,14 +259,7 @@ impl std::fmt::Debug for CursorState {
 
 impl CursorState {
     fn meta(&self) -> &CursorMeta {
-        match &self.inner {
-            StateInner::Isl(c) => &c.meta,
-            StateInner::Bfhm(c) => &c.meta,
-            StateInner::Drjn(c) => &c.meta,
-            StateInner::Materialized(c) => &c.meta,
-            StateInner::Multiway(c) => &c.meta,
-            StateInner::Auto(c) => CursorState::meta_of(&c.inner),
-        }
+        Self::meta_of(&self.inner)
     }
 
     fn meta_of(inner: &StateInner) -> &CursorMeta {
@@ -273,7 +268,6 @@ impl CursorState {
             StateInner::Bfhm(c) => &c.meta,
             StateInner::Drjn(c) => &c.meta,
             StateInner::Materialized(c) => &c.meta,
-            StateInner::Multiway(c) => &c.meta,
             StateInner::Auto(c) => CursorState::meta_of(&c.inner),
         }
     }
@@ -281,11 +275,10 @@ impl CursorState {
     /// The algorithm driving this state.
     pub fn algorithm(&self) -> &'static str {
         match &self.inner {
-            StateInner::Isl(_) => "ISL",
+            StateInner::Isl(c) => c.kind.algorithm(),
             StateInner::Bfhm(_) => "BFHM",
             StateInner::Drjn(_) => "DRJN",
             StateInner::Materialized(c) => c.algorithm,
-            StateInner::Multiway(_) => "MULTIWAY",
             StateInner::Auto(_) => "AUTO",
         }
     }
@@ -308,16 +301,16 @@ impl CursorState {
     /// Input depth consumed before the pause (see
     /// [`RankedCursor::consumed_depth`]).
     pub fn consumed_depth(&self) -> u64 {
-        match &self.inner {
+        Self::depth_of(&self.inner)
+    }
+
+    fn depth_of(inner: &StateInner) -> u64 {
+        match inner {
             StateInner::Isl(c) => c.log.len() as u64,
             StateInner::Bfhm(c) => c.consumed_depth(),
             StateInner::Drjn(c) => c.consumed_depth(),
             StateInner::Materialized(c) => c.results.as_ref().map_or(0, |r| r.len()) as u64,
-            StateInner::Multiway(c) => c.log.len() as u64,
-            StateInner::Auto(c) => CursorState {
-                inner: c.inner.clone(),
-            }
-            .consumed_depth(),
+            StateInner::Auto(c) => CursorState::depth_of(&c.inner),
         }
     }
 
@@ -333,7 +326,7 @@ impl CursorState {
     /// materialized state already holds the whole join.
     pub fn supports_retarget(&self) -> bool {
         match &self.inner {
-            StateInner::Isl(_) | StateInner::Multiway(_) => true,
+            StateInner::Isl(_) => true,
             StateInner::Auto(c) => matches!(c.inner, StateInner::Isl(_)),
             _ => false,
         }
@@ -354,9 +347,6 @@ impl CursorState {
             StateInner::Materialized(core) => {
                 Ok(Box::new(MaterializedCursor::resume(cluster, *core)))
             }
-            StateInner::Multiway(core) => Ok(Box::new(
-                crate::multiway::cursor::MultiwayCursor::resume(cluster, *core),
-            )),
             StateInner::Auto(_) => Err(RankJoinError::Internal(
                 "Algorithm::Auto cursors resume through RankJoinExecutor::resume_cursor",
             )),
@@ -379,12 +369,6 @@ impl CursorState {
                 core.retarget(new_k);
                 Ok(Box::new(IslCursor::resume(cluster, *core)))
             }
-            StateInner::Multiway(mut core) => {
-                core.retarget(new_k);
-                Ok(Box::new(crate::multiway::cursor::MultiwayCursor::resume(
-                    cluster, *core,
-                )))
-            }
             StateInner::Auto(auto) if matches!(auto.inner, StateInner::Isl(_)) => {
                 CursorState { inner: auto.inner }.resume_retargeted(cluster, new_k)
             }
@@ -396,46 +380,104 @@ impl CursorState {
 }
 
 // ---------------------------------------------------------------------
-// ISL
+// ISL: batched descent over score-ordered index lists
 // ---------------------------------------------------------------------
 
+/// The cell layout of the score index a descent reads, which fixes how
+/// an index cell decodes into a tuple. Set by the index the cursor opens
+/// over, never by a knob.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum IndexKind {
+    /// The binary ISL index ([`crate::isl::build`]): one join value per
+    /// cell.
+    Isl,
+    /// The multiway index ([`crate::multiway::index::build`]): one join
+    /// value per incident edge.
+    Multiway,
+}
+
+impl IndexKind {
+    /// Decodes one index cell of a row whose key carries `row_score`.
+    /// An ISL cell that fails to decode falls back to the raw value as
+    /// its join value at the row's score; a malformed multiway cell is
+    /// skipped (`None`).
+    pub(crate) fn decode(self, cell: &Cell, row_score: f64) -> Option<RankedTuple> {
+        match self {
+            IndexKind::Isl => {
+                let (join_value, score) = codec::decode_value_score(&cell.value)
+                    .unwrap_or_else(|_| (cell.value.to_vec(), row_score));
+                Some(RankedTuple::new(cell.qualifier.clone(), join_value, score))
+            }
+            IndexKind::Multiway => {
+                let (join_values, score) = codec::decode_multi_value_score(&cell.value).ok()?;
+                Some(RankedTuple {
+                    key: cell.qualifier.clone(),
+                    join_values,
+                    score,
+                })
+            }
+        }
+    }
+
+    fn algorithm(self) -> &'static str {
+        match self {
+            IndexKind::Isl => "ISL",
+            IndexKind::Multiway => "MULTIWAY",
+        }
+    }
+}
+
+/// How one side of a descent is consumed, and where its scan stands.
+#[derive(Clone)]
+pub(crate) struct DescentSide {
+    /// Index rows fetched per batch.
+    batch: usize,
+    access: SideAccess,
+    /// Detached scanner position (`None` until first demand; always
+    /// `None` for materialized sides).
+    scan: Option<ScannerState>,
+    exhausted: bool,
+}
+
 /// Detached state of an [`IslCursor`]: the exact descent position of the
-/// batched alternating loop in [`crate::isl`], plus the consumed-tuple
-/// log the HRJN accumulator is rebuilt from on resume.
+/// batched round-robin loop, plus the consumed-tuple log the HRJN
+/// accumulator is rebuilt from on resume.
 #[derive(Clone)]
 pub(crate) struct IslCore {
     pub meta: CursorMeta,
-    /// The query, with `query.k == meta.k`.
-    pub query: RankJoinQuery,
-    /// ISL index table name.
-    pub table: String,
-    pub config: IslConfig,
-    /// Detached per-side scanner positions (`None` until first demand).
-    pub scans: [Option<ScannerState>; 2],
-    pub exhausted: [bool; 2],
-    /// Which side the current/next batch pulls from (0 = left).
-    pub turn: usize,
+    /// The join, with `spec.k == meta.k`. Side `i` descends the index
+    /// column family `spec.sides[i].label`.
+    spec: JoinSpec,
+    /// Index table name.
+    table: String,
+    kind: IndexKind,
+    sides: Vec<DescentSide>,
+    /// Whether the up-front materialization pass already ran.
+    materialized: bool,
+    /// Which side the current/next batch pulls from.
+    turn: usize,
     /// Batches completed or started.
-    pub batches: u64,
+    batches: u64,
     /// A batch is part-way through (paused by early HRJN termination —
     /// a deeper re-target continues it mid-row).
-    pub in_batch: bool,
+    in_batch: bool,
     /// Rows consumed within the current batch.
-    pub rows_taken: usize,
-    /// Decoded tuples of a partially-consumed row, not yet pushed (the
-    /// one-shot loop stops pushing the instant HRJN terminates; a deeper
-    /// re-target must push the remainder before reading on).
-    pub pending: VecDeque<RankedTuple>,
-    /// Every tuple pushed into HRJN, in push order — replaying this log
-    /// into a fresh accumulator reconstructs the full threshold state
-    /// (and, at a larger `k`, recovers results the bounded top-k had
-    /// evicted) without touching the store.
-    pub log: Vec<(Side, RankedTuple)>,
+    rows_taken: usize,
+    /// Decoded tuples of a partially-consumed row of side `turn`, not yet
+    /// pushed (the one-shot loop stops pushing the instant HRJN
+    /// terminates; a deeper re-target must push the remainder before
+    /// reading on).
+    pending: VecDeque<RankedTuple>,
+    /// Every tuple pushed into HRJN with its side, in push order —
+    /// replaying this log into a fresh accumulator reconstructs the full
+    /// threshold state (and, at a larger `k`, recovers results the
+    /// bounded top-k had evicted) without touching the store.
+    log: Vec<(usize, RankedTuple)>,
 }
 
 impl IslCore {
     fn retarget(&mut self, new_k: usize) {
-        self.query = self.query.with_k(new_k);
+        self.spec = self.spec.with_k(new_k);
         self.meta = CursorMeta::new(new_k, self.meta.pinned_version);
     }
 }
@@ -443,7 +485,7 @@ impl IslCore {
 /// What one [`IslCursor::advance_one_batch`] call did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum BatchStep {
-    /// Nothing left to do: HRJN terminated or both inputs exhausted
+    /// Nothing left to do: HRJN terminated or every input exhausted
     /// (possibly mid-batch).
     Drained,
     /// One batch completed at its boundary; the descent continues.
@@ -454,10 +496,14 @@ pub(crate) enum BatchStep {
 /// batch ordinal, and rules whether the descent continues.
 pub(crate) type BatchObserver = Box<dyn FnMut(&HrjnState, u64) -> BatchVerdict + Send>;
 
-/// The ISL/HRJN rank join as a [`RankedCursor`]: the batched alternating
-/// descent of [`crate::isl::run_with_mode`], suspendable at any batch
-/// boundary. The serial one-shot driver *is* this cursor drained in one
-/// call, so results and counted metrics agree by construction.
+/// HRJN over score-ordered index lists as a [`RankedCursor`]: batched
+/// round-robin descent over every [`SideAccess::Descend`] side, with
+/// [`SideAccess::Materialize`] sides bulk-ingested up front, suspendable
+/// at any batch boundary. Over the binary ISL index this is the paper's
+/// ISL (Algorithm 4), alternating two sides; over the multiway index it
+/// is the N-ary rank join. The serial one-shot drivers *are* this cursor
+/// drained in one call, so results and counted metrics agree by
+/// construction.
 pub struct IslCursor {
     cluster: Cluster,
     core: IslCore,
@@ -479,19 +525,55 @@ impl IslCursor {
         config: IslConfig,
         pinned_version: Option<u64>,
     ) -> Result<Self> {
+        IslCursor::open_spec(
+            cluster,
+            &query.to_spec(),
+            index_table,
+            IndexKind::Isl,
+            vec![
+                (config.batch_left, SideAccess::Descend),
+                (config.batch_right, SideAccess::Descend),
+            ],
+            pinned_version,
+        )
+    }
+
+    /// Opens a cursor over a previously built index of `kind`, consuming
+    /// side `i` per `sides[i]` = `(rows per batch, access)`.
+    pub(crate) fn open_spec(
+        cluster: &Cluster,
+        spec: &JoinSpec,
+        index_table: &str,
+        kind: IndexKind,
+        sides: Vec<(usize, SideAccess)>,
+        pinned_version: Option<u64>,
+    ) -> Result<Self> {
+        if sides.len() != spec.n() {
+            return Err(RankJoinError::InvalidSpec(
+                "one SideAccess per side required",
+            ));
+        }
         cluster
             .table(index_table)
             .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
         Ok(IslCursor {
             cluster: cluster.clone(),
-            state: HrjnState::new(query.k, query.score_fn),
+            state: HrjnState::new(spec),
             core: IslCore {
-                meta: CursorMeta::new(query.k, pinned_version),
-                query: query.clone(),
+                meta: CursorMeta::new(spec.k, pinned_version),
+                spec: spec.clone(),
                 table: index_table.to_owned(),
-                config,
-                scans: [None, None],
-                exhausted: [false, false],
+                kind,
+                sides: sides
+                    .into_iter()
+                    .map(|(batch, access)| DescentSide {
+                        batch,
+                        access,
+                        scan: None,
+                        exhausted: false,
+                    })
+                    .collect(),
+                materialized: false,
                 turn: 0,
                 batches: 0,
                 in_batch: false,
@@ -504,11 +586,13 @@ impl IslCursor {
         })
     }
 
-    /// Seeds the cursor with already-opened scanner positions (the
-    /// parallel warm-up round's prefetched first RPCs).
-    pub(crate) fn with_warm_scans(mut self, scans: [ScannerState; 2]) -> Self {
-        let [l, r] = scans;
-        self.core.scans = [Some(l), Some(r)];
+    /// Seeds the cursor with already-opened scanner positions, one per
+    /// side in side order (the parallel warm-up round's prefetched first
+    /// RPCs).
+    pub(crate) fn with_warm_scans(mut self, scans: impl IntoIterator<Item = ScannerState>) -> Self {
+        for (side, scan) in self.core.sides.iter_mut().zip(scans) {
+            side.scan = Some(scan);
+        }
         self
     }
 
@@ -516,13 +600,13 @@ impl IslCursor {
     /// accumulator by replaying the consumed-tuple log (pure in-memory —
     /// nothing is re-read or re-billed).
     pub(crate) fn resume(cluster: &Cluster, core: IslCore) -> Self {
-        let mut state = HrjnState::new(core.query.k, core.query.score_fn);
+        let mut state = HrjnState::new(&core.spec);
         for (side, tuple) in &core.log {
-            state.push(*side, tuple.clone());
+            state.push(*side, tuple);
         }
-        for (i, side) in [Side::Left, Side::Right].into_iter().enumerate() {
-            if core.exhausted[i] {
-                state.exhaust(side);
+        for (i, side) in core.sides.iter().enumerate() {
+            if side.exhausted {
+                state.exhaust(i);
             }
         }
         IslCursor {
@@ -554,9 +638,9 @@ impl IslCursor {
         self.core.batches
     }
 
-    /// Both inputs fully consumed.
-    pub(crate) fn both_exhausted(&self) -> bool {
-        self.core.exhausted[0] && self.core.exhausted[1]
+    /// Every input fully consumed.
+    pub(crate) fn all_exhausted(&self) -> bool {
+        self.core.sides.iter().all(|side| side.exhausted)
     }
 
     /// Consumes the cursor into its HRJN state (the adaptive driver's
@@ -566,7 +650,7 @@ impl IslCursor {
     }
 
     fn drained(&self) -> bool {
-        self.core.meta.k == 0 || self.state.is_done() || self.both_exhausted()
+        self.core.meta.k == 0 || self.state.is_done() || self.all_exhausted()
     }
 
     /// Results currently certain to be final: while the descent runs,
@@ -587,52 +671,89 @@ impl IslCursor {
             .count()
     }
 
-    /// Runs exactly one batch of the alternating descent (or finishes a
-    /// part-way batch left by an earlier re-target) — the loop body of
-    /// `isl::run_observed`, verbatim. No observer or policy evaluation
-    /// happens here; callers check at the boundary this returns at.
+    fn push_logged(&mut self, side: usize, tuple: RankedTuple) {
+        self.state.push(side, &tuple);
+        self.core.log.push((side, tuple));
+    }
+
+    /// Bulk-ingests every `Materialize` side: full descending-score scan
+    /// of its index family, all tuples pushed and the side exhausted.
+    /// Reads are charged like any scan — materialization is paid once,
+    /// on whichever pull triggers it.
+    fn materialize_sides(&mut self) -> Result<()> {
+        let kind = self.core.kind;
+        for i in 0..self.core.sides.len() {
+            let side = &self.core.sides[i];
+            if side.access != SideAccess::Materialize || side.exhausted {
+                continue;
+            }
+            let family = self.core.spec.sides[i].label.clone();
+            let spec = Scan::new().families(&[family.as_str()]).caching(side.batch);
+            for row in self.cluster.client().scan(&self.core.table, spec)? {
+                let Some(score) = keys::decode_score_desc(&row.key) else {
+                    continue;
+                };
+                for cell in row.family_cells(&family) {
+                    if let Some(tuple) = kind.decode(cell, score) {
+                        self.push_logged(i, tuple);
+                    }
+                }
+            }
+            self.core.sides[i].exhausted = true;
+            self.state.exhaust(i);
+        }
+        self.core.materialized = true;
+        Ok(())
+    }
+
+    /// Runs exactly one batch of the round-robin descent (after the
+    /// materialization pass on the first call), or finishes a part-way
+    /// batch left by an earlier re-target — the loop body of
+    /// `isl::run_observed`. No observer or policy evaluation happens
+    /// here; callers check at the boundary this returns at.
     pub(crate) fn advance_one_batch(&mut self) -> Result<BatchStep> {
         if self.drained() {
             return Ok(BatchStep::Drained);
         }
-        let client = self.cluster.client();
+        if !self.core.materialized {
+            self.materialize_sides()?;
+            if self.drained() {
+                return Ok(BatchStep::Drained);
+            }
+        }
+        let n = self.core.sides.len();
         if !self.core.in_batch {
-            if self.core.exhausted[self.core.turn] {
-                self.core.turn = 1 - self.core.turn;
+            // Advance to the next descendable side. At least one exists:
+            // materialized sides are all exhausted, and all-exhausted is
+            // `drained`.
+            loop {
+                let side = &self.core.sides[self.core.turn];
+                if side.access == SideAccess::Descend && !side.exhausted {
+                    break;
+                }
+                self.core.turn = (self.core.turn + 1) % n;
             }
             self.core.batches += 1;
             self.core.rows_taken = 0;
             self.core.in_batch = true;
         }
         let turn = self.core.turn;
-        let side = if turn == 0 { Side::Left } else { Side::Right };
-        let family = self
-            .core
-            .query
-            .try_side(turn)
-            // rjlint: allow(no-unwrap) — `turn` alternates over {0, 1} and a
-            // validated binary query always has both sides.
-            .expect("binary side")
-            .label
-            .clone();
-        let batch_size = if turn == 0 {
-            self.core.config.batch_left
-        } else {
-            self.core.config.batch_right
-        };
+        let family = self.core.spec.sides[turn].label.clone();
+        let batch_size = self.core.sides[turn].batch;
+        let kind = self.core.kind;
 
         // Push the leftover cells of a row a previous (shallower) target
         // stopped inside — already read and billed, never re-fetched.
         while let Some(tuple) = self.core.pending.pop_front() {
-            self.core.log.push((side, tuple.clone()));
-            self.state.push(side, tuple);
+            self.push_logged(turn, tuple);
             if self.state.is_done() {
                 return Ok(BatchStep::Drained);
             }
         }
 
         // Materialize this side's scanner at its detached position.
-        let mut scan = match self.core.scans[turn].take() {
+        let client = self.cluster.client();
+        let mut scan = match self.core.sides[turn].scan.take() {
             Some(state) => client.resume_scan(state)?,
             None => {
                 let spec = Scan::new().families(&[family.as_str()]).caching(batch_size);
@@ -643,8 +764,8 @@ impl IslCursor {
         let mut step = BatchStep::Completed;
         'rows: while self.core.rows_taken < batch_size {
             let Some(row) = scan.next() else {
-                self.core.exhausted[turn] = true;
-                self.state.exhaust(side);
+                self.core.sides[turn].exhausted = true;
+                self.state.exhaust(turn);
                 break;
             };
             self.core.rows_taken += 1;
@@ -654,19 +775,10 @@ impl IslCursor {
             };
             let mut cells: VecDeque<RankedTuple> = row
                 .family_cells(&family)
-                .map(|cell| {
-                    let (join_value, exact_score) = codec::decode_value_score(&cell.value)
-                        .unwrap_or_else(|_| (cell.value.to_vec(), score));
-                    RankedTuple {
-                        key: cell.qualifier.clone(),
-                        join_value,
-                        score: exact_score,
-                    }
-                })
+                .filter_map(|cell| kind.decode(cell, score))
                 .collect();
             while let Some(tuple) = cells.pop_front() {
-                self.core.log.push((side, tuple.clone()));
-                self.state.push(side, tuple);
+                self.push_logged(turn, tuple);
                 // Algorithm 4 tests inside the tuple loop; rows already
                 // fetched in this batch are paid for either way.
                 if self.state.is_done() {
@@ -676,10 +788,10 @@ impl IslCursor {
                 }
             }
         }
-        self.core.scans[turn] = Some(scan.into_state());
+        self.core.sides[turn].scan = Some(scan.into_state());
         if step == BatchStep::Completed {
             self.core.in_batch = false;
-            self.core.turn = 1 - self.core.turn;
+            self.core.turn = (turn + 1) % n;
         }
         Ok(step)
     }
@@ -707,7 +819,7 @@ impl IslCursor {
             match self.advance_one_batch()? {
                 BatchStep::Drained => break,
                 BatchStep::Completed => {
-                    if self.both_exhausted() {
+                    if self.all_exhausted() {
                         continue; // top-of-loop drain; no boundary checks
                     }
                     // Observation point: one batch fully paid for, HRJN
@@ -778,7 +890,7 @@ impl RankedCursor for IslCursor {
     }
 
     fn algorithm(&self) -> &'static str {
-        "ISL"
+        self.core.kind.algorithm()
     }
 }
 
@@ -953,4 +1065,36 @@ pub fn open_isl_cursor(
     config: IslConfig,
 ) -> Result<IslCursor> {
     IslCursor::open(cluster, query, index_table, config, None)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(value: Vec<u8>) -> Cell {
+        Cell {
+            row: b"row".to_vec(),
+            family: "F".to_owned(),
+            qualifier: b"key".to_vec(),
+            timestamp: 0,
+            value: value.into(),
+        }
+    }
+
+    #[test]
+    fn each_index_kind_decodes_its_own_cells() {
+        let isl = cell(codec::encode_value_score(b"j", 0.7));
+        let want = RankedTuple::new(b"key".to_vec(), b"j".to_vec(), 0.7);
+        assert_eq!(IndexKind::Isl.decode(&isl, 0.5), Some(want));
+        let values = vec![b"a".to_vec(), b"b".to_vec()];
+        let multi = cell(codec::encode_multi_value_score(&values, 0.6));
+        let got = IndexKind::Multiway.decode(&multi, 0.5).unwrap();
+        assert_eq!((got.join_values, got.score), (values, 0.6));
+        // A malformed ISL cell falls back to its raw value at the row
+        // key's score; a malformed multiway cell is skipped.
+        let bad = cell(b"raw".to_vec());
+        let fallback = RankedTuple::new(b"key".to_vec(), b"raw".to_vec(), 0.5);
+        assert_eq!(IndexKind::Isl.decode(&bad, 0.5), Some(fallback));
+        assert_eq!(IndexKind::Multiway.decode(&bad, 0.5), None);
+    }
 }

@@ -166,7 +166,7 @@ impl DrjnRun {
                 index_table: index_table.to_owned(),
                 config: *config,
                 mode,
-                seen: [crate::hrjn::SeenSide::new(), crate::hrjn::SeenSide::new()],
+                seen: [crate::hrjn::SeenSide::new(1), crate::hrjn::SeenSide::new(1)],
                 results: TopK::new(query.k),
                 rows: [Vec::new(), Vec::new()],
                 cum_estimate: 0.0,
@@ -332,7 +332,7 @@ impl DrjnRun {
                             score: query.score_fn.combine(ls, rs),
                         });
                     }
-                    self.core.seen[s].insert(&join, &cell.qualifier, score);
+                    self.core.seen[s].insert([join.as_slice()], &cell.qualifier, score);
                 }
             }
         }

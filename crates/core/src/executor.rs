@@ -755,24 +755,8 @@ impl RankJoinExecutor {
                     .as_deref()
                     .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
                 let pinned = Some(self.stats.version());
-                let mut isl = IslCursor::open(cluster, &query, table, self.isl_config, pinned)?;
-                let observer = Arc::new(Mutex::new(DivergenceObserver::new(
-                    &plan,
-                    self.replan_divergence,
-                    self.adaptive_force_switch_after,
-                )));
-                let hook = observer.clone();
-                isl.set_observer(Box::new(move |state, batches| {
-                    hook.lock()
-                        .expect("divergence observer")
-                        .after_batch(state, batches)
-                }));
-                Ok(Box::new(self.auto_cursor(
-                    query,
-                    observer,
-                    AutoInner::Isl(Box::new(isl)),
-                    false,
-                )))
+                let isl = IslCursor::open(cluster, &query, table, self.isl_config, pinned)?;
+                Ok(Box::new(self.auto_cursor(query, &plan, isl)))
             }
             Algorithm::Isl => {
                 let t = self
@@ -861,29 +845,12 @@ impl RankJoinExecutor {
             StateInner::Auto(auto) => {
                 match (auto.switched, auto.inner) {
                     (false, StateInner::Isl(core)) => {
-                        let query = core.query.clone();
                         let k = core.meta.k;
-                        let mut isl = IslCursor::resume(self.engine.cluster(), *core);
+                        let isl = IslCursor::resume(self.engine.cluster(), *core);
                         // Same statistics version (just checked), so this
                         // is the cached plan the cursor was opened under.
                         let plan = self.plan_with_k(k)?;
-                        let observer = Arc::new(Mutex::new(DivergenceObserver::new(
-                            &plan,
-                            self.replan_divergence,
-                            self.adaptive_force_switch_after,
-                        )));
-                        let hook = observer.clone();
-                        isl.set_observer(Box::new(move |state, batches| {
-                            hook.lock()
-                                .expect("divergence observer")
-                                .after_batch(state, batches)
-                        }));
-                        Ok(Box::new(self.auto_cursor(
-                            query,
-                            observer,
-                            AutoInner::Isl(Box::new(isl)),
-                            false,
-                        )))
+                        Ok(Box::new(self.auto_cursor(self.query.with_k(k), &plan, isl)))
                     }
                     // Already switched (or a non-ISL inner): the adaptive
                     // context is spent — resume the driving state natively.
@@ -947,15 +914,21 @@ impl RankJoinExecutor {
         deep.marginal_from(&shallow, priced).ok_or(not_candidate)
     }
 
-    /// Builds an [`AutoCursor`] carrying everything the mid-query switch
-    /// needs, detached from `self`'s lifetime.
-    fn auto_cursor(
-        &self,
-        query: RankJoinQuery,
-        observer: Arc<Mutex<DivergenceObserver>>,
-        inner: AutoInner,
-        switched: bool,
-    ) -> AutoCursor {
+    /// Builds an [`AutoCursor`] driving `isl` under divergence observation
+    /// against `plan`, carrying everything the mid-query switch needs,
+    /// detached from `self`'s lifetime.
+    fn auto_cursor(&self, query: RankJoinQuery, plan: &Plan, mut isl: IslCursor) -> AutoCursor {
+        let observer = Arc::new(Mutex::new(DivergenceObserver::new(
+            plan,
+            self.replan_divergence,
+            self.adaptive_force_switch_after,
+        )));
+        let hook = observer.clone();
+        isl.set_observer(Box::new(move |state, batches| {
+            hook.lock()
+                .expect("divergence observer")
+                .after_batch(state, batches)
+        }));
         AutoCursor {
             cluster: self.engine.cluster().clone(),
             query,
@@ -969,8 +942,8 @@ impl RankJoinExecutor {
             drjn_table: self.drjn_table.clone(),
             ijlmr_table: self.ijlmr_table.clone(),
             observer,
-            inner,
-            switched,
+            inner: AutoInner::Isl(Box::new(isl)),
+            switched: false,
         }
     }
 }

@@ -1,58 +1,83 @@
-//! The centralized HRJN operator (Ilyas, Aref & Elmagarmid, VLDB 2003).
+//! The HRJN operator (Ilyas, Aref & Elmagarmid, VLDB 2003) over any
+//! [`JoinSpec`]: the paper's two-way join and its N-way generalization
+//! are one accumulator.
 //!
-//! HRJN consumes two inputs sorted by descending score, joining each newly
-//! retrieved tuple against everything seen so far. It keeps per-input
-//! minimum (`s̄_i`, the score of the last pulled tuple) and maximum
-//! (`ŝ_i`, the first pulled) scores, and stops when the k-th buffered
-//! result is at least the **threshold**
+//! HRJN consumes inputs sorted by descending score (any interleaving of
+//! sides), joining each newly retrieved tuple against everything seen so
+//! far. It keeps per-input minimum (`s̄_i`, the score of the last pulled
+//! tuple) and maximum (`ŝ_i`, the first pulled) scores, and stops when
+//! the k-th buffered result is at least the **threshold**
 //!
 //! ```text
-//! S = max{ f(s̄_1, ŝ_2), f(ŝ_1, s̄_2) }
+//! S = max_i f(ŝ_1, …, s̄_i, …, ŝ_n)
 //! ```
 //!
-//! — the best score any future join tuple could achieve (§4.2.1). The ISL
-//! algorithm (§4.2) is this operator driven by batched scans over the
-//! score-ordered ISL index; this module keeps the core logic independent
-//! so it can be tested (and property-tested) in isolation.
+//! — the best score any future join tuple could achieve (§4.2.1). A
+//! future result needs an *unseen* tuple of some non-exhausted side `i`,
+//! which scores at most `s̄_i`, while every other side contributes at most
+//! its maximum. Monotonicity of `f` in every argument (which all
+//! [`ScoreFn`]s satisfy over the paper's `[0,1]` domain) makes each bound
+//! valid; for two sides this is exactly the paper's
+//! `max{f(s̄_1, ŝ_2), f(ŝ_1, s̄_2)}`.
+//!
+//! A new tuple from side `i` is joined by walking the spec's edge tree
+//! outward from `i`: every edge constrains the neighbour side's
+//! candidates to seen tuples carrying the same value on that edge, and a
+//! complete assignment — one tuple per side — is a result scored by the
+//! [`ScoreFn::combine_many`] fold over the sides in order.
+//!
+//! The ISL algorithm (§4.2) and the multiway path are this operator
+//! driven by batched scans over score-ordered index lists
+//! ([`crate::cursor::IslCursor`]); this module keeps the core logic
+//! independent so it can be tested (and property-tested) in isolation.
 
 use rj_sketch::FlatMultiMap;
 
+use crate::query::JoinSpec;
 use crate::result::{JoinTuple, TopK};
 use crate::score::ScoreFn;
 
-/// One input tuple: `(base key, join value, score)`.
+/// One input tuple: base key, one join value per edge incident to its
+/// side (in [`JoinSpec::incident_edges`] order — exactly one for either
+/// side of a binary join), and the individual score.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RankedTuple {
     /// Base-table row key.
     pub key: Vec<u8>,
-    /// Join-attribute value.
-    pub join_value: Vec<u8>,
+    /// Join values, one per incident edge, in incident order.
+    pub join_values: Vec<Vec<u8>>,
     /// Individual score.
     pub score: f64,
 }
 
-/// Which input a tuple came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Side {
-    /// The left relation.
-    Left,
-    /// The right relation.
-    Right,
+impl RankedTuple {
+    /// A tuple of a side with a single incident edge (either side of a
+    /// binary join, a leaf of a path or star).
+    pub fn new(key: Vec<u8>, join_value: Vec<u8>, score: f64) -> Self {
+        RankedTuple {
+            key,
+            join_values: vec![join_value],
+            score,
+        }
+    }
 }
 
 /// Per-side seen-tuple store in flat, cache-friendly layout.
 ///
-/// The old representation — `HashMap<Vec<u8>, Vec<(Vec<u8>, f64)>>` — paid
-/// a heap allocation per join value plus one per tuple group, and the
-/// descent loop chased those pointers on every probe. Here join values are
-/// interned into a [`FlatMultiMap`] whose groups hold dense tuple ids, and
-/// the tuples themselves are **columnar**: base keys back to back in one
-/// byte arena, scores in one contiguous `f64` column (which is also what
-/// the observed-descent histogram scans).
-#[derive(Clone, Default)]
+/// Join values are interned into one [`FlatMultiMap`] per incident edge
+/// whose groups hold dense tuple ids, and the tuples themselves are
+/// **columnar**: base keys back to back in one byte arena, scores in one
+/// contiguous `f64` column (which is also what the observed-descent
+/// histogram scans). No tuple is stored whole.
+#[derive(Clone)]
 pub(crate) struct SeenSide {
-    /// Join value → group of tuple ids.
-    index: FlatMultiMap<u32>,
+    /// One map per incident edge: join value on that edge → tuple ids.
+    index: Vec<FlatMultiMap<u32>>,
+    /// Per tuple and incident edge (row-major), the entry id of the
+    /// tuple's value in that edge's map. Kept only for sides with two or
+    /// more incident edges: only those sit *inside* a tree walk, where a
+    /// seen tuple's value on the next edge is read back.
+    value_ids: Vec<u32>,
     /// Tuple base keys, interned back to back.
     key_arena: Vec<u8>,
     /// Per-tuple `(offset, len)` span into `key_arena`.
@@ -62,12 +87,25 @@ pub(crate) struct SeenSide {
 }
 
 impl SeenSide {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// An empty store for a side with `edges` incident edges.
+    pub(crate) fn new(edges: usize) -> Self {
+        SeenSide {
+            index: (0..edges).map(|_| FlatMultiMap::new()).collect(),
+            value_ids: Vec::new(),
+            key_arena: Vec::new(),
+            key_spans: Vec::new(),
+            scores: Vec::new(),
+        }
     }
 
-    /// Records one `(base key, score)` tuple under `join`.
-    pub(crate) fn insert(&mut self, join: &[u8], key: &[u8], score: f64) {
+    /// Records one `(base key, score)` tuple under its join values, one
+    /// per incident edge.
+    pub(crate) fn insert<'v>(
+        &mut self,
+        values: impl IntoIterator<Item = &'v [u8]>,
+        key: &[u8],
+        score: f64,
+    ) {
         // Checked narrowing: a store past 2^32 tuples or 4 GiB of key
         // bytes must panic, not silently alias spans.
         let id = u32::try_from(self.scores.len()).expect("SeenSide tuple count overflows u32");
@@ -77,121 +115,192 @@ impl SeenSide {
         ));
         self.key_arena.extend_from_slice(key);
         self.scores.push(score);
-        self.index.push(join, id);
+        let keep_ids = self.index.len() > 1;
+        for (map, value) in self.index.iter_mut().zip(values) {
+            let entry = map.ensure(value);
+            map.push_to_entry(entry, id);
+            if keep_ids {
+                self.value_ids.push(entry);
+            }
+        }
     }
 
-    /// All `(base key, score)` tuples seen under `join`, insertion order.
-    pub(crate) fn matches<'a>(&'a self, join: &[u8]) -> impl Iterator<Item = (&'a [u8], f64)> + 'a {
-        self.index.get(join).map(move |&id| {
-            let (off, len) = self.key_spans[id as usize];
-            (
-                &self.key_arena[off as usize..(off + len) as usize],
-                self.scores[id as usize],
-            )
-        })
+    /// Ids of the tuples seen with `value` on incident edge `slot`, in
+    /// insertion order.
+    fn ids<'a>(&'a self, slot: usize, value: &[u8]) -> impl Iterator<Item = u32> + 'a {
+        self.index[slot].get(value).copied()
+    }
+
+    fn key(&self, id: u32) -> &[u8] {
+        let (off, len) = self.key_spans[id as usize];
+        &self.key_arena[off as usize..(off + len) as usize]
+    }
+
+    fn score(&self, id: u32) -> f64 {
+        self.scores[id as usize]
+    }
+
+    /// Tuple `id`'s join value on incident edge `slot` (sides with two or
+    /// more incident edges only — see `value_ids`).
+    fn value(&self, id: u32, slot: usize) -> &[u8] {
+        let entry = self.value_ids[id as usize * self.index.len() + slot];
+        self.index[slot].key(entry)
+    }
+
+    /// All `(base key, score)` tuples seen with `value` on the first
+    /// incident edge — the whole join of a single-edge side — in
+    /// insertion order.
+    pub(crate) fn matches<'a>(
+        &'a self,
+        value: &[u8],
+    ) -> impl Iterator<Item = (&'a [u8], f64)> + 'a {
+        self.ids(0, value).map(|id| (self.key(id), self.score(id)))
     }
 
     /// Number of tuples recorded.
     pub(crate) fn len(&self) -> usize {
         self.scores.len()
     }
-
-    /// The contiguous score column (for whole-side sweeps).
-    pub(crate) fn scores(&self) -> &[f64] {
-        &self.scores
-    }
 }
 
-/// Incremental HRJN state machine. Feed tuples in descending score order
-/// per side (any interleaving of sides) and poll [`HrjnState::is_done`].
+/// One edge of a tree walk: the assignment extends from `parent` (already
+/// fixed) to `child` across `edge`.
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    parent: usize,
+    child: usize,
+    edge: usize,
+    /// Position of `edge` in the parent's / child's incident list.
+    parent_slot: usize,
+    child_slot: usize,
+}
+
+/// Incremental HRJN state machine over a [`JoinSpec`]. Feed tuples in
+/// descending score order per side (any interleaving of sides) and poll
+/// [`HrjnState::is_done`].
 pub struct HrjnState {
     k: usize,
     score_fn: ScoreFn,
     results: TopK,
-    seen: [SeenSide; 2],
+    seen: Vec<SeenSide>,
     /// Tuples pushed per side (kept separately so per-batch observers
     /// read it in O(1) instead of walking the seen-maps).
-    consumed: [usize; 2],
+    consumed: Vec<usize>,
     /// (max seen, min seen) per side; `None` until the first tuple.
-    bounds: [Option<(f64, f64)>; 2],
-    exhausted: [bool; 2],
+    bounds: Vec<Option<(f64, f64)>>,
+    exhausted: Vec<bool>,
+    /// Preorder walks of the edge tree, one per root side: every parent
+    /// before its children, slots resolved once here instead of per push.
+    walks: Vec<Vec<Step>>,
+    /// Scratch assignment (one seen-tuple id per side), reused by every
+    /// push.
+    chosen: Vec<u32>,
 }
 
 impl HrjnState {
-    /// Fresh state for a top-k join under `score_fn`.
-    pub fn new(k: usize, score_fn: ScoreFn) -> Self {
+    /// Fresh state for `spec` at `k = spec.k` (pass a re-targeted spec for
+    /// other depths; a [`crate::query::RankJoinQuery`] enters through
+    /// [`crate::query::RankJoinQuery::to_spec`]).
+    pub fn new(spec: &JoinSpec) -> Self {
+        let n = spec.n();
+        // Per-side incident-edge count so far, and the adjacency lists:
+        // side → the steps leaving it, in edge order.
+        let mut slots = vec![0usize; n];
+        let mut adj: Vec<Vec<Step>> = vec![Vec::new(); n];
+        for (edge, e) in spec.edges.iter().enumerate() {
+            let (slot_a, slot_b) = (slots[e.a], slots[e.b]);
+            slots[e.a] += 1;
+            slots[e.b] += 1;
+            adj[e.a].push(Step {
+                parent: e.a,
+                child: e.b,
+                edge,
+                parent_slot: slot_a,
+                child_slot: slot_b,
+            });
+            adj[e.b].push(Step {
+                parent: e.b,
+                child: e.a,
+                edge,
+                parent_slot: slot_b,
+                child_slot: slot_a,
+            });
+        }
+        let walks = (0..n)
+            .map(|root| {
+                let mut order = Vec::with_capacity(n - 1);
+                let mut visited = vec![false; n];
+                visited[root] = true;
+                let mut stack = vec![root];
+                while let Some(side) = stack.pop() {
+                    for step in &adj[side] {
+                        if !visited[step.child] {
+                            visited[step.child] = true;
+                            order.push(*step);
+                            stack.push(step.child);
+                        }
+                    }
+                }
+                order
+            })
+            .collect();
         HrjnState {
-            k,
-            score_fn,
-            results: TopK::new(k),
-            seen: [SeenSide::new(), SeenSide::new()],
-            consumed: [0, 0],
-            bounds: [None, None],
-            exhausted: [false, false],
+            k: spec.k,
+            score_fn: spec.score_fn,
+            results: TopK::new(spec.k),
+            seen: slots.iter().map(|&edges| SeenSide::new(edges)).collect(),
+            consumed: vec![0; n],
+            bounds: vec![None; n],
+            exhausted: vec![false; n],
+            walks,
+            chosen: vec![0; n],
         }
     }
 
-    fn side_index(side: Side) -> usize {
-        match side {
-            Side::Left => 0,
-            Side::Right => 1,
-        }
-    }
-
-    /// Feeds one tuple from `side`. Panics in debug builds if scores go up
-    /// — inputs must be score-descending.
-    pub fn push(&mut self, side: Side, tuple: RankedTuple) {
-        let i = Self::side_index(side);
+    /// Feeds one tuple from side `side`. Panics in debug builds if scores
+    /// go up — inputs must be score-descending — or if the tuple carries
+    /// the wrong number of join values.
+    pub fn push(&mut self, side: usize, tuple: &RankedTuple) {
+        debug_assert_eq!(tuple.join_values.len(), self.seen[side].index.len());
         debug_assert!(
-            self.bounds[i].is_none_or(|(_, min)| tuple.score <= min + 1e-12),
+            self.bounds[side].is_none_or(|(_, min)| tuple.score <= min + 1e-12),
             "input not score-descending"
         );
-        self.bounds[i] = Some(match self.bounds[i] {
+        self.bounds[side] = Some(match self.bounds[side] {
             None => (tuple.score, tuple.score),
             Some((max, min)) => (max, min.min(tuple.score)),
         });
 
-        // Join against the other side's seen tuples (columnar probe).
-        for (other_key, other_score) in self.seen[1 - i].matches(&tuple.join_value) {
-            let (l, r) = if i == 0 {
-                (
-                    (tuple.key.as_slice(), tuple.score),
-                    (other_key, other_score),
-                )
-            } else {
-                (
-                    (other_key, other_score),
-                    (tuple.key.as_slice(), tuple.score),
-                )
-            };
-            self.results.offer(JoinTuple {
-                left_key: l.0.to_vec(),
-                right_key: r.0.to_vec(),
-                join_value: tuple.join_value.clone(),
-                left_score: l.1,
-                right_score: r.1,
-                inner: Vec::new(),
-                score: self.score_fn.combine(l.1, r.1),
-            });
-        }
-        self.seen[i].insert(&tuple.join_value, &tuple.key, tuple.score);
-        self.consumed[i] += 1;
+        // Every complete assignment using the new tuple: backtracking over
+        // the tree walk rooted at `side`.
+        let walk = Walk {
+            seen: &self.seen,
+            steps: &self.walks[side],
+            root: side,
+            new: tuple,
+            score_fn: self.score_fn,
+        };
+        walk.extend(0, &mut self.chosen, &[], &mut self.results);
+
+        self.seen[side].insert(
+            tuple.join_values.iter().map(Vec::as_slice),
+            &tuple.key,
+            tuple.score,
+        );
+        self.consumed[side] += 1;
     }
 
     /// Marks a side as fully consumed.
-    pub fn exhaust(&mut self, side: Side) {
-        self.exhausted[Self::side_index(side)] = true;
+    pub fn exhaust(&mut self, side: usize) {
+        self.exhausted[side] = true;
     }
 
     /// The HRJN threshold: the maximum attainable score of any join tuple
     /// not yet produced. `None` while no bound exists yet (nothing pulled
     /// from some non-exhausted side).
     pub fn threshold(&self) -> Option<f64> {
-        // A future join tuple needs at least one *unseen* tuple. Unseen
-        // tuples on side i score at most s̄_i; the partner is bounded by
-        // ŝ_other. Exhausted sides produce no unseen tuples.
         let mut t: Option<f64> = None;
-        for i in 0..2 {
+        'sides: for i in 0..self.bounds.len() {
             if self.exhausted[i] {
                 continue;
             }
@@ -199,15 +308,22 @@ impl HrjnState {
                 // Nothing pulled from an active side: unbounded.
                 return None;
             };
-            // Partner bound: the other side's max seen. If the other side
-            // has produced nothing: an exhausted empty side can never
-            // partner (skip); an active one leaves the bound open.
-            let other_max = match self.bounds[1 - i] {
-                Some((max, _)) => max,
-                None if self.exhausted[1 - i] => continue,
-                None => return None,
-            };
-            let bound = self.score_fn.combine_sided(i, my_min, other_max);
+            // f(ŝ_1, …, s̄_i, …, ŝ_n), folded in side order exactly like
+            // `ScoreFn::combine_many`.
+            let mut bound: Option<f64> = None;
+            for (j, b) in self.bounds.iter().enumerate() {
+                let arg = match b {
+                    _ if j == i => my_min,
+                    Some((max, _)) => *max,
+                    // An exhausted empty side can never partner any
+                    // future tuple — side i contributes no bound.
+                    None if self.exhausted[j] => continue 'sides,
+                    // An active side with nothing pulled: unbounded.
+                    None => return None,
+                };
+                bound = Some(bound.map_or(arg, |acc| self.score_fn.combine(acc, arg)));
+            }
+            let bound = bound.unwrap_or(0.0);
             t = Some(t.map_or(bound, |x: f64| x.max(bound)));
         }
         t.or(Some(f64::NEG_INFINITY))
@@ -217,7 +333,7 @@ impl HrjnState {
     pub fn is_done(&self) -> bool {
         match (self.results.kth_score(), self.threshold()) {
             (Some(kth), Some(t)) => kth >= t,
-            // Both sides exhausted → threshold = -inf → done even if fewer
+            // Every side exhausted → threshold = -inf → done even if fewer
             // than k results exist.
             (None, Some(t)) => t == f64::NEG_INFINITY,
             _ => false,
@@ -229,7 +345,7 @@ impl HrjnState {
         self.results.len()
     }
 
-    /// Total tuples consumed across both sides.
+    /// Total tuples consumed across all sides.
     pub fn tuples_consumed(&self) -> usize {
         self.consumed.iter().sum()
     }
@@ -259,30 +375,30 @@ impl HrjnState {
         self.results.kth_score()
     }
 
-    /// Tuples consumed from one side so far (O(1) — observers call this
-    /// after every batch).
-    pub fn consumed(&self, side: Side) -> usize {
-        self.consumed[Self::side_index(side)]
+    /// Tuples consumed from side `side` so far (O(1) — observers call
+    /// this after every batch).
+    pub fn consumed(&self, side: usize) -> usize {
+        self.consumed[side]
     }
 
-    /// `(max seen, min seen)` scores of one side — the `ŝ_i`/`s̄_i` pair
-    /// the HRJN threshold is built from. `None` before the first pull.
-    /// The max is the side's *true* maximum (inputs are score-descending);
-    /// the min is how deep the descent has reached.
-    pub fn side_bounds(&self, side: Side) -> Option<(f64, f64)> {
-        self.bounds[Self::side_index(side)]
+    /// `(max seen, min seen)` scores of side `side` — the `ŝ_i`/`s̄_i`
+    /// pair the HRJN threshold is built from. `None` before the first
+    /// pull. The max is the side's *true* maximum (inputs are
+    /// score-descending); the min is how deep the descent has reached.
+    pub fn side_bounds(&self, side: usize) -> Option<(f64, f64)> {
+        self.bounds[side]
     }
 
     /// Equi-width histogram (over `[0,1]`, `buckets` cells, out-of-range
-    /// scores clamped to the edge cells) of the scores consumed from one
-    /// side — the *observed* descent an adaptive driver compares against
-    /// the planner's histogram-predicted descent, in the same bucket
-    /// geometry as [`crate::planner::TableStats`].
-    pub fn observed_histogram(&self, side: Side, buckets: usize) -> Vec<u64> {
+    /// scores clamped to the edge cells) of the scores consumed from side
+    /// `side` — the *observed* descent an adaptive driver compares
+    /// against the planner's histogram-predicted descent, in the same
+    /// bucket geometry as [`crate::planner::TableStats`].
+    pub fn observed_histogram(&self, side: usize, buckets: usize) -> Vec<u64> {
         let buckets = buckets.max(1);
         let mut hist = vec![0u64; buckets];
         // One linear sweep over the side's contiguous score column.
-        for score in self.seen[Self::side_index(side)].scores() {
+        for score in &self.seen[side].scores {
             let b = ((score.max(0.0) * buckets as f64) as usize).min(buckets - 1);
             hist[b] += 1;
         }
@@ -297,58 +413,96 @@ impl HrjnState {
     }
 }
 
-impl ScoreFn {
-    /// `combine` with the "my side" argument placed correctly.
-    fn combine_sided(&self, my_index: usize, mine: f64, other: f64) -> f64 {
-        if my_index == 0 {
-            self.combine(mine, other)
+/// The join of one new tuple against the seen stores along the tree walk
+/// rooted at its side.
+struct Walk<'a> {
+    seen: &'a [SeenSide],
+    steps: &'a [Step],
+    root: usize,
+    new: &'a RankedTuple,
+    score_fn: ScoreFn,
+}
+
+impl<'a> Walk<'a> {
+    /// Assigns `steps[pos..]`, given the sides fixed so far in `chosen`
+    /// (the root is the new tuple), offering every complete assignment to
+    /// `out`. `edge0` is edge 0's join value once the walk has crossed it
+    /// (a tree walk crosses every edge exactly once) — it fills the
+    /// results' binary-compatible `join_value` field.
+    fn extend(&self, pos: usize, chosen: &mut [u32], edge0: &'a [u8], out: &mut TopK) {
+        let Some(step) = self.steps.get(pos) else {
+            out.offer(self.assemble(chosen, edge0));
+            return;
+        };
+        let seen: &'a [SeenSide] = self.seen;
+        let value: &'a [u8] = if step.parent == self.root {
+            &self.new.join_values[step.parent_slot]
         } else {
-            self.combine(other, mine)
+            seen[step.parent].value(chosen[step.parent], step.parent_slot)
+        };
+        let edge0 = if step.edge == 0 { value } else { edge0 };
+        for id in seen[step.child].ids(step.child_slot, value) {
+            chosen[step.child] = id;
+            self.extend(pos + 1, chosen, edge0, out);
+        }
+    }
+
+    /// Builds the result tuple of a complete assignment: side 0 is the
+    /// result's left, the last side its right, interior sides land in
+    /// `inner`.
+    fn assemble(&self, chosen: &[u32], edge0: &[u8]) -> JoinTuple {
+        let n = chosen.len();
+        let key = |i: usize| {
+            if i == self.root {
+                self.new.key.as_slice()
+            } else {
+                self.seen[i].key(chosen[i])
+            }
+        };
+        let score = |i: usize| {
+            if i == self.root {
+                self.new.score
+            } else {
+                self.seen[i].score(chosen[i])
+            }
+        };
+        JoinTuple {
+            left_key: key(0).to_vec(),
+            right_key: key(n - 1).to_vec(),
+            join_value: edge0.to_vec(),
+            left_score: score(0),
+            right_score: score(n - 1),
+            inner: (1..n - 1).map(|i| (key(i).to_vec(), score(i))).collect(),
+            score: self.score_fn.combine_iter((0..n).map(score)),
         }
     }
 }
 
-/// Runs HRJN to completion over two in-memory score-descending lists,
-/// alternating pulls (the reference driver used by tests and by the
-/// examples).
-pub fn run_hrjn(
-    k: usize,
-    score_fn: ScoreFn,
-    left: &[RankedTuple],
-    right: &[RankedTuple],
-) -> Vec<JoinTuple> {
-    let mut state = HrjnState::new(k, score_fn);
-    let mut li = 0usize;
-    let mut ri = 0usize;
-    let mut turn = Side::Left;
-    loop {
-        if state.is_done() {
-            break;
+/// Runs HRJN to completion over in-memory score-descending per-side
+/// lists, round-robin over the sides — the reference driver used by tests
+/// and the examples.
+pub fn run_hrjn(spec: &JoinSpec, sides: &[Vec<RankedTuple>]) -> Vec<JoinTuple> {
+    assert_eq!(sides.len(), spec.n(), "one input list per side");
+    let mut state = HrjnState::new(spec);
+    let mut at = vec![0usize; sides.len()];
+    for (i, list) in sides.iter().enumerate() {
+        if list.is_empty() {
+            state.exhaust(i);
         }
-        let (idx, tuples, side) = match turn {
-            Side::Left if li < left.len() => (&mut li, left, Side::Left),
-            Side::Left => (&mut ri, right, Side::Right),
-            Side::Right if ri < right.len() => (&mut ri, right, Side::Right),
-            Side::Right => (&mut li, left, Side::Left),
-        };
-        if *idx >= tuples.len() {
-            // Both exhausted.
-            state.exhaust(Side::Left);
-            state.exhaust(Side::Right);
-            break;
+    }
+    while !state.is_done() {
+        for (i, list) in sides.iter().enumerate() {
+            if let Some(tuple) = list.get(at[i]) {
+                state.push(i, tuple);
+                at[i] += 1;
+                if at[i] == list.len() {
+                    state.exhaust(i);
+                }
+                if state.is_done() {
+                    break;
+                }
+            }
         }
-        state.push(side, tuples[*idx].clone());
-        *idx += 1;
-        if li == left.len() {
-            state.exhaust(Side::Left);
-        }
-        if ri == right.len() {
-            state.exhaust(Side::Right);
-        }
-        turn = match turn {
-            Side::Left => Side::Right,
-            Side::Right => Side::Left,
-        };
     }
     state.into_results()
 }
@@ -356,18 +510,36 @@ pub fn run_hrjn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::JoinSide;
+
+    fn side(label: &str) -> JoinSide {
+        JoinSide::new(&label.to_lowercase(), label, ("d", b"jk"), ("d", b"score"))
+    }
+
+    fn binary(k: usize, f: ScoreFn) -> JoinSpec {
+        JoinSpec::path(vec![side("L"), side("R")], k, f).unwrap()
+    }
 
     fn t(key: &[u8], join: &[u8], score: f64) -> RankedTuple {
+        RankedTuple::new(key.to_vec(), join.to_vec(), score)
+    }
+
+    fn nt(key: &[u8], values: &[&[u8]], score: f64) -> RankedTuple {
         RankedTuple {
             key: key.to_vec(),
-            join_value: join.to_vec(),
+            join_values: values.iter().map(|v| v.to_vec()).collect(),
             score,
         }
     }
 
+    fn sorted(mut v: Vec<RankedTuple>) -> Vec<RankedTuple> {
+        v.sort_by(|a, b| b.score.total_cmp(&a.score));
+        v
+    }
+
     /// The running example of Fig. 1, score-sorted per relation.
     fn running_example() -> (Vec<RankedTuple>, Vec<RankedTuple>) {
-        let mut r1 = vec![
+        let r1 = vec![
             t(b"r1_1", b"d", 0.82),
             t(b"r1_2", b"c", 0.93),
             t(b"r1_3", b"c", 0.67),
@@ -380,7 +552,7 @@ mod tests {
             t(b"r1_10", b"a", 1.00),
             t(b"r1_11", b"b", 0.64),
         ];
-        let mut r2 = vec![
+        let r2 = vec![
             t(b"r2_1", b"a", 0.51),
             t(b"r2_2", b"b", 0.91),
             t(b"r2_3", b"c", 0.64),
@@ -393,12 +565,10 @@ mod tests {
             t(b"r2_10", b"c", 0.31),
             t(b"r2_11", b"b", 0.92),
         ];
-        r1.sort_by(|a, b| b.score.total_cmp(&a.score));
-        r2.sort_by(|a, b| b.score.total_cmp(&a.score));
-        (r1, r2)
+        (sorted(r1), sorted(r2))
     }
 
-    /// Brute-force top-k over the same inputs.
+    /// Brute-force top-k over two inputs.
     fn brute_force(
         k: usize,
         f: ScoreFn,
@@ -408,11 +578,11 @@ mod tests {
         let mut top = crate::result::TopK::new(k);
         for l in left {
             for r in right {
-                if l.join_value == r.join_value {
+                if l.join_values == r.join_values {
                     top.offer(JoinTuple {
                         left_key: l.key.clone(),
                         right_key: r.key.clone(),
-                        join_value: l.join_value.clone(),
+                        join_value: l.join_values[0].clone(),
                         left_score: l.score,
                         right_score: r.score,
                         inner: Vec::new(),
@@ -427,7 +597,7 @@ mod tests {
     #[test]
     fn running_example_top3_sum() {
         let (r1, r2) = running_example();
-        let got = run_hrjn(3, ScoreFn::Sum, &r1, &r2);
+        let got = run_hrjn(&binary(3, ScoreFn::Sum), &[r1, r2]);
         // All three best results come from join value b:
         // 0.82+0.92=1.74, 0.82+0.91=1.73, 0.70+0.92=1.62.
         let scores: Vec<f64> = got.iter().map(|x| x.score).collect();
@@ -468,7 +638,7 @@ mod tests {
         for f in [ScoreFn::Sum, ScoreFn::Product, ScoreFn::Min, ScoreFn::Max] {
             let all = brute_force(usize::MAX / 2, f, &r1, &r2);
             for k in 1..=20 {
-                let got = run_hrjn(k, f, &r1, &r2);
+                let got = run_hrjn(&binary(k, f), &[r1.clone(), r2.clone()]);
                 assert_rank_equivalent(&got, &all, k.min(all.len()));
             }
         }
@@ -483,16 +653,16 @@ mod tests {
         let right: Vec<RankedTuple> = (0..100)
             .map(|i| t(format!("r{i}").as_bytes(), b"x", 1.0 - i as f64 / 100.0))
             .collect();
-        let mut state = HrjnState::new(1, ScoreFn::Sum);
+        let mut state = HrjnState::new(&binary(1, ScoreFn::Sum));
         let mut consumed = 0;
         let mut li = 0;
         let mut ri = 0;
         while !state.is_done() {
             if li <= ri {
-                state.push(Side::Left, left[li].clone());
+                state.push(0, &left[li]);
                 li += 1;
             } else {
-                state.push(Side::Right, right[ri].clone());
+                state.push(1, &right[ri]);
                 ri += 1;
             }
             consumed += 1;
@@ -502,10 +672,10 @@ mod tests {
 
     #[test]
     fn empty_inputs_terminate() {
-        let got = run_hrjn(5, ScoreFn::Sum, &[], &[]);
+        let got = run_hrjn(&binary(5, ScoreFn::Sum), &[vec![], vec![]]);
         assert!(got.is_empty());
         let one = vec![t(b"a", b"x", 0.5)];
-        let got = run_hrjn(5, ScoreFn::Sum, &one, &[]);
+        let got = run_hrjn(&binary(5, ScoreFn::Sum), &[one, vec![]]);
         assert!(got.is_empty());
     }
 
@@ -513,26 +683,199 @@ mod tests {
     fn fewer_than_k_results() {
         let left = vec![t(b"l1", b"x", 0.9)];
         let right = vec![t(b"r1", b"x", 0.8), t(b"r2", b"y", 0.7)];
-        let got = run_hrjn(10, ScoreFn::Sum, &left, &right);
+        let got = run_hrjn(&binary(10, ScoreFn::Sum), &[left, right]);
         assert_eq!(got.len(), 1);
         assert!((got[0].score - 1.7).abs() < 1e-12);
     }
 
     #[test]
     fn threshold_is_none_before_both_sides_seen() {
-        let mut s = HrjnState::new(1, ScoreFn::Sum);
+        let mut s = HrjnState::new(&binary(1, ScoreFn::Sum));
         assert_eq!(s.threshold(), None);
-        s.push(Side::Left, t(b"l", b"x", 0.9));
+        s.push(0, &t(b"l", b"x", 0.9));
         assert_eq!(s.threshold(), None, "right side untouched → no bound");
-        s.push(Side::Right, t(b"r", b"y", 0.8));
+        s.push(1, &t(b"r", b"y", 0.8));
         assert!(s.threshold().is_some());
+    }
+
+    #[test]
+    fn two_side_threshold_is_the_binary_formula() {
+        // An asymmetric f pins the argument order of both bounds.
+        let f = ScoreFn::WeightedSum { wl: 2.0, wr: 0.5 };
+        let mut s = HrjnState::new(&binary(5, f));
+        s.push(0, &t(b"l1", b"x", 0.9));
+        s.push(0, &t(b"l2", b"y", 0.4));
+        s.push(1, &t(b"r1", b"z", 0.8));
+        s.push(1, &t(b"r2", b"w", 0.3));
+        // max{f(s̄_1, ŝ_2), f(ŝ_1, s̄_2)} = max{f(0.4, 0.8), f(0.9, 0.3)}.
+        let want = f.combine(0.4, 0.8).max(f.combine(0.9, 0.3));
+        assert_eq!(s.threshold(), Some(want));
+        s.exhaust(0);
+        assert_eq!(s.threshold(), Some(f.combine(0.9, 0.3)));
     }
 
     #[test]
     fn duplicate_join_values_multiply() {
         let left = vec![t(b"l1", b"x", 0.9), t(b"l2", b"x", 0.8)];
         let right = vec![t(b"r1", b"x", 0.7), t(b"r2", b"x", 0.6)];
-        let got = run_hrjn(10, ScoreFn::Sum, &left, &right);
+        let got = run_hrjn(&binary(10, ScoreFn::Sum), &[left, right]);
         assert_eq!(got.len(), 4, "2×2 cartesian on shared join value");
+    }
+
+    /// A deterministic pseudo-random side: `n` tuples, join values drawn
+    /// from `domain` letters, scores spread over (0,1].
+    fn gen_side(n: usize, domain: u8, seed: u64, edges: usize) -> Vec<RankedTuple> {
+        let mut v = Vec::new();
+        let mut x = seed;
+        for i in 0..n {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let j = b'a' + (x >> 33) as u8 % domain;
+            let score = ((x >> 11) % 1000) as f64 / 1000.0;
+            v.push(nt(
+                format!("k{i}").as_bytes(),
+                &vec![&[j][..]; edges],
+                score,
+            ));
+        }
+        sorted(v)
+    }
+
+    /// Brute-force 3-way path oracle over in-memory lists.
+    fn brute_path3(spec: &JoinSpec, s: &[Vec<RankedTuple>]) -> Vec<JoinTuple> {
+        let mut top = TopK::new(spec.k);
+        for a in &s[0] {
+            for b in &s[1] {
+                if a.join_values[0] != b.join_values[0] {
+                    continue;
+                }
+                for c in &s[2] {
+                    if b.join_values[1] != c.join_values[0] {
+                        continue;
+                    }
+                    top.offer(JoinTuple {
+                        left_key: a.key.clone(),
+                        right_key: c.key.clone(),
+                        join_value: a.join_values[0].clone(),
+                        left_score: a.score,
+                        right_score: c.score,
+                        inner: vec![(b.key.clone(), b.score)],
+                        score: spec.score_fn.combine_many(&[a.score, b.score, c.score]),
+                    });
+                }
+            }
+        }
+        top.into_sorted_vec()
+    }
+
+    #[test]
+    fn path3_matches_brute_force() {
+        for f in [ScoreFn::Sum, ScoreFn::Product, ScoreFn::Min, ScoreFn::Max] {
+            let spec = JoinSpec::path(vec![side("A"), side("B"), side("C")], 8, f).unwrap();
+            let sides = vec![
+                gen_side(20, 3, 1, 1),
+                gen_side(18, 3, 2, 2),
+                gen_side(22, 3, 3, 1),
+            ];
+            let got = run_hrjn(&spec, &sides);
+            let want = brute_path3(&spec, &sides);
+            let gs: Vec<f64> = got.iter().map(|t| t.score).collect();
+            let ws: Vec<f64> = want.iter().map(|t| t.score).collect();
+            assert_eq!(gs, ws, "{f:?}");
+        }
+    }
+
+    #[test]
+    fn star3_hub_joins_both_leaves() {
+        // Hub H joins leaves X and Y on different attributes.
+        let spec = JoinSpec::star(vec![side("H"), side("X"), side("Y")], 10, ScoreFn::Sum).unwrap();
+        // Hub tuples carry one value per incident edge (2 edges).
+        let hub = sorted(vec![
+            nt(b"h1", &[b"a", b"p"], 0.9),
+            nt(b"h2", &[b"a", b"q"], 0.7),
+            nt(b"h3", &[b"b", b"p"], 0.5),
+        ]);
+        let x = sorted(vec![nt(b"x1", &[b"a"], 0.8), nt(b"x2", &[b"b"], 0.6)]);
+        let y = sorted(vec![nt(b"y1", &[b"p"], 0.4), nt(b"y2", &[b"q"], 0.9)]);
+        let got = run_hrjn(&spec, &[hub, x, y]);
+        // h1⋈x1⋈y1 (0.9+0.8+0.4=2.1), h2⋈x1⋈y2 (0.7+0.8+0.9=2.4),
+        // h3⋈x2⋈y1 (0.5+0.6+0.4=1.5).
+        let scores: Vec<f64> = got.iter().map(|t| t.score).collect();
+        assert_eq!(scores, vec![2.4, 2.1, 1.5]);
+        // Hub is side 0 → result's left; inner holds side 1 (X).
+        assert_eq!(got[0].left_key, b"h2".to_vec());
+        assert_eq!(got[0].inner, vec![(b"x1".to_vec(), 0.8)]);
+        assert_eq!(got[0].right_key, b"y2".to_vec());
+    }
+
+    #[test]
+    fn early_termination_on_path() {
+        // Clear winner at the top: top-1 should not consume everything.
+        let mk = |prefix: &str, n: usize| -> Vec<RankedTuple> {
+            sorted(
+                (0..n)
+                    .map(|i| {
+                        nt(
+                            format!("{prefix}{i}").as_bytes(),
+                            &[b"x"],
+                            1.0 - i as f64 / n as f64,
+                        )
+                    })
+                    .collect(),
+            )
+        };
+        let mid: Vec<RankedTuple> = sorted(
+            (0..50)
+                .map(|i| {
+                    nt(
+                        format!("m{i}").as_bytes(),
+                        &[b"x", b"x"],
+                        1.0 - i as f64 / 50.0,
+                    )
+                })
+                .collect(),
+        );
+        let spec = JoinSpec::path(vec![side("A"), side("B"), side("C")], 1, ScoreFn::Sum).unwrap();
+        let mut state = HrjnState::new(&spec);
+        let sides = [mk("a", 50), mid, mk("c", 50)];
+        let mut at = [0usize; 3];
+        while !state.is_done() {
+            for i in 0..3 {
+                state.push(i, &sides[i][at[i]]);
+                at[i] += 1;
+            }
+        }
+        assert!(
+            state.tuples_consumed() <= 9,
+            "top-1 needed {} pulls",
+            state.tuples_consumed()
+        );
+    }
+
+    #[test]
+    fn threshold_none_until_every_side_bounded() {
+        let spec = JoinSpec::path(vec![side("A"), side("B"), side("C")], 2, ScoreFn::Sum).unwrap();
+        let mut s = HrjnState::new(&spec);
+        assert_eq!(s.threshold(), None);
+        s.push(0, &nt(b"a", &[b"x"], 0.9));
+        s.push(1, &nt(b"b", &[b"x", b"x"], 0.8));
+        assert_eq!(s.threshold(), None, "side 2 untouched → no bound");
+        s.push(2, &nt(b"c", &[b"x"], 0.7));
+        assert!(s.threshold().is_some());
+    }
+
+    #[test]
+    fn exhausted_empty_side_terminates() {
+        let spec = JoinSpec::path(vec![side("A"), side("B"), side("C")], 2, ScoreFn::Sum).unwrap();
+        let mut s = HrjnState::new(&spec);
+        s.push(0, &nt(b"a", &[b"x"], 0.9));
+        s.push(2, &nt(b"c", &[b"x"], 0.7));
+        s.exhaust(1);
+        s.exhaust(0);
+        s.exhaust(2);
+        assert_eq!(s.threshold(), Some(f64::NEG_INFINITY));
+        assert!(s.is_done());
+        assert_eq!(s.result_count(), 0);
     }
 }

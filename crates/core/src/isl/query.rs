@@ -10,10 +10,9 @@ use rj_store::metrics::QueryMeter;
 use rj_store::parallel::{run_lanes, ExecutionMode, LaneTask, ParallelScanner};
 use rj_store::scan::Scan;
 
-use crate::codec;
-use crate::cursor::{BatchStep, IslCursor};
+use crate::cursor::{BatchStep, IndexKind, IslCursor};
 use crate::error::{RankJoinError, Result};
-use crate::hrjn::{HrjnState, RankedTuple, Side};
+use crate::hrjn::HrjnState;
 use crate::query::RankJoinQuery;
 use crate::stats::QueryOutcome;
 
@@ -218,7 +217,7 @@ pub(crate) fn run_observed(
         match cursor.advance_one_batch()? {
             BatchStep::Drained => break,
             BatchStep::Completed => {
-                if cursor.both_exhausted() {
+                if cursor.all_exhausted() {
                     continue;
                 }
                 // Observation point: one batch is fully paid for and HRJN
@@ -265,11 +264,11 @@ fn run_enumeration_parallel(
     states: [rj_store::client::ScannerState; 2],
 ) -> Result<QueryOutcome> {
     let scanner = ParallelScanner::new(cluster, mode);
-    let mut state = HrjnState::new(query.k, query.score_fn);
+    let mut state = HrjnState::new(&query.to_spec());
     let mut batches = 0u64;
     for ((side, family, batch_size), mut scan_state) in [
-        (Side::Left, query.left.label.as_str(), config.batch_left),
-        (Side::Right, query.right.label.as_str(), config.batch_right),
+        (0, query.left.label.as_str(), config.batch_left),
+        (1, query.right.label.as_str(), config.batch_right),
     ]
     .into_iter()
     .zip(states)
@@ -297,16 +296,9 @@ fn run_enumeration_parallel(
                 continue;
             };
             for cell in row.family_cells(family) {
-                let (join_value, exact_score) = codec::decode_value_score(&cell.value)
-                    .unwrap_or_else(|_| (cell.value.to_vec(), score));
-                state.push(
-                    side,
-                    RankedTuple {
-                        key: cell.qualifier.clone(),
-                        join_value,
-                        score: exact_score,
-                    },
-                );
+                if let Some(tuple) = IndexKind::Isl.decode(cell, score) {
+                    state.push(side, &tuple);
+                }
             }
         }
         state.exhaust(side);

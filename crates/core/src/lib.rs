@@ -23,7 +23,7 @@
 //! | [`isl`] | Inverse Score List rank join: coordinator-based HRJN over score-ordered index | §4.2 |
 //! | [`bfhm`] | Bloom Filter Histogram Matrix: statistical rank join with 100% recall | §5 |
 //! | [`drjn`] | DRJN comparator (Doulkeridis et al., ICDE 2012) as adapted in §7.1 | §7.1 |
-//! | [`hrjn`] | the centralized HRJN operator (Ilyas et al., VLDB 2003) ISL builds on | §4.2.1 |
+//! | [`hrjn`] | the centralized HRJN operator (Ilyas et al., VLDB 2003) over n sides, which ISL and the multi-way path both drive | §4.2.1 |
 //! | [`planner`] | cost-based adaptive selection over the suite ([`Algorithm::Auto`]) | Figs. 7–8 |
 //! | [`adaptive`] | mid-query re-planning: ISL abort-and-switch on observed score-descent divergence | Figs. 7–8 |
 //! | [`multiway`] | N-ary generalization: [`query::JoinSpec`]-driven multi-way rank joins (binary is the two-side degenerate form) | §8 outlook |
@@ -75,7 +75,7 @@ pub use adaptive::DEFAULT_REPLAN_DIVERGENCE;
 pub use cancel::{CancelToken, StopPolicy, StopReason};
 pub use cursor::{open_isl_cursor, CursorBatch, CursorState, RankedCursor};
 pub use executor::{Algorithm, RankJoinExecutor};
-pub use multiway::{MultiwayConfig, MultiwayCursor, SharedSpecStats, SideAccess, SpecExecutor};
+pub use multiway::{MultiwayConfig, SharedSpecStats, SideAccess, SpecExecutor};
 pub use planner::{DescentModel, Objective, Plan, StatsSource, TableStats};
 pub use query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use result::{JoinTuple, TopK};

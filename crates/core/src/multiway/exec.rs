@@ -9,7 +9,7 @@
 //! with three or more sides run the multiway path: index build
 //! ([`crate::multiway::index`]), per-side access planning
 //! ([`crate::multiway::planner`]), and the threshold-terminated
-//! [`MultiwayCursor`], pinned to the spec's [`SharedSpecStats`] version
+//! descent cursor ([`crate::multiway::cursor`]), pinned to the spec's [`SharedSpecStats`] version
 //! exactly like binary cursors pin their table-stats version.
 
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use crate::cursor::{CursorState, RankedCursor};
 use crate::error::{RankJoinError, Result};
 use crate::executor::{Algorithm, RankJoinExecutor};
 use crate::indexutil::BuildStats;
-use crate::multiway::cursor::{MultiwayConfig, MultiwayCursor, SideAccess};
+use crate::multiway::cursor::{self, MultiwayConfig, SideAccess};
 use crate::multiway::index;
 use crate::multiway::planner::{choose_access, SharedSpecStats};
 use crate::query::JoinSpec;
@@ -269,7 +269,7 @@ impl SpecExecutor {
                 // as of the moment it starts reading.
                 let access = self.plan_access(k_hint)?;
                 let pinned = Some(stats.version());
-                Ok(Box::new(MultiwayCursor::open_pinned(
+                Ok(Box::new(cursor::open(
                     self.engine.cluster(),
                     &self.spec.with_k(k_hint),
                     table,

@@ -6,16 +6,15 @@
 //! same threshold machinery covers any acyclic multi-way join. This
 //! module is that generalization, layer by layer:
 //!
-//! * [`hrjn`] — the N-way HRJN operator: per-side score bounds feeding
-//!   one global threshold over [`crate::score::ScoreFn::combine_many`],
-//!   with join enumeration along the spec's edge tree.
 //! * [`index`] — the multiway score index: every side of the spec built
 //!   into one shared table (column family per side label, rows ordered
 //!   by descending score), the N-ary sibling of [`crate::isl::build`].
-//! * [`cursor`] — [`cursor::MultiwayCursor`], the operator behind the
-//!   PR 8 [`crate::cursor::RankedCursor`] seam: pausable, resumable,
-//!   re-targetable, with the same strictly-above-threshold emission
-//!   certification as the binary cursors.
+//! * [`cursor`] — the ISL descent over the multiway index: the one
+//!   [`crate::cursor::IslCursor`] driving the n-side HRJN operator of
+//!   [`crate::hrjn`] (per-side score bounds feeding one global threshold,
+//!   join enumeration along the spec's edge tree), with per-side
+//!   [`SideAccess`] and [`MultiwayConfig`] batch sizes. Pausable,
+//!   resumable and re-targetable like every cursor.
 //! * [`planner`] — per-side statistics, the per-side access choice
 //!   (batched index **descent** vs. **materialize**-then-join), and the
 //!   cost model that picks the cheapest assignment; plus
@@ -29,12 +28,10 @@
 
 pub mod cursor;
 pub mod exec;
-pub mod hrjn;
 pub mod index;
 pub mod planner;
 
-pub use cursor::{MultiwayConfig, MultiwayCursor, SideAccess};
+pub use cursor::{MultiwayConfig, SideAccess};
 pub use exec::SpecExecutor;
-pub use hrjn::{run_nary_hrjn, NaryHrjn, NaryTuple};
 pub use index::{build, index_table_name};
 pub use planner::{choose_access, collect_spec_stats, SharedSpecStats, SpecSideStats, SpecStats};

@@ -96,53 +96,7 @@ impl SpecStats {
 /// admin read path — the N-ary `ANALYZE` (one pass per side; charged to
 /// [`rj_store::metrics::MetricsSnapshot::admin_kv_reads`] only).
 pub fn collect_spec_stats(cluster: &Cluster, spec: &JoinSpec) -> Result<SpecStats> {
-    let n = spec.n();
-    let mut sides = Vec::with_capacity(n);
-    // Per (edge, endpoint-slot 0/1): distinct fingerprints seen.
-    let mut edge_values: Vec<[HashMap<u64, u64>; 2]> = spec
-        .edges
-        .iter()
-        .map(|_| [HashMap::new(), HashMap::new()])
-        .collect();
-    let mut admin_reads = 0u64;
-    for i in 0..n {
-        let table = cluster.table(&spec.sides[i].table)?;
-        let incident = spec.incident_edges(i);
-        let mut s = SpecSideStats::empty();
-        let mut bytes = 0.0f64;
-        for row in table.debug_all_rows() {
-            admin_reads += 1;
-            let Some((values, score)) = spec.extract_side(i, &row) else {
-                continue;
-            };
-            s.tuples += 1;
-            s.max_score = s.max_score.max(score);
-            s.hist[SpecSideStats::bucket_of(score)] += 1;
-            bytes += crate::planner::entry_bytes_of(
-                &values.iter().map(|v| v.len()).sum::<usize>().to_be_bytes(),
-                &row.key,
-            );
-            for (slot, &(e, _)) in incident.iter().enumerate() {
-                let endpoint = usize::from(spec.edges[e].a != i);
-                *edge_values[e][endpoint]
-                    .entry(join_fingerprint(&values[slot]))
-                    .or_insert(0) += 1;
-            }
-        }
-        if s.tuples > 0 {
-            s.avg_entry_bytes = bytes / s.tuples as f64;
-        }
-        sides.push(s);
-    }
-    cluster.metrics().add_admin_kv_reads(admin_reads);
-    let edge_distinct = edge_values
-        .iter()
-        .map(|[a, b]| (a.len() as u64, b.len() as u64))
-        .collect();
-    Ok(SpecStats {
-        sides,
-        edge_distinct,
-    })
+    collect_with_sketch(cluster, spec).map(|(stats, _)| stats)
 }
 
 /// Predicted index reads of one access assignment: materialized sides
@@ -358,8 +312,8 @@ impl SharedSpecStats {
 }
 
 /// [`collect_spec_stats`] keeping the per-edge fingerprint sketches the
-/// maintained path merges deltas into. One shared implementation so the
-/// collect path and the delta path stay structurally in sync.
+/// maintained path merges deltas into — the one collection pass both
+/// paths share.
 fn collect_with_sketch(cluster: &Cluster, spec: &JoinSpec) -> Result<(SpecStats, EdgeSketches)> {
     let n = spec.n();
     let mut sides = Vec::with_capacity(n);

@@ -51,10 +51,14 @@ impl ScoreFn {
 
     /// Folds an n-ary score list left-to-right (multi-way extension).
     pub fn combine_many(&self, scores: &[f64]) -> f64 {
-        match scores {
-            [] => 0.0,
-            [only] => *only,
-            [first, rest @ ..] => rest.iter().fold(*first, |acc, &s| self.combine(acc, s)),
+        self.combine_iter(scores.iter().copied())
+    }
+
+    /// [`ScoreFn::combine_many`] over an iterator (no buffer needed).
+    pub(crate) fn combine_iter(&self, mut scores: impl Iterator<Item = f64>) -> f64 {
+        match scores.next() {
+            None => 0.0,
+            Some(first) => scores.fold(first, |acc, s| self.combine(acc, s)),
         }
     }
 

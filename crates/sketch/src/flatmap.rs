@@ -134,6 +134,12 @@ impl<V> FlatMultiMap<V> {
         &self.key_arena[lo..hi]
     }
 
+    /// The key bytes of an entry id previously returned by
+    /// [`FlatMultiMap::ensure`].
+    pub fn key(&self, entry: u32) -> &[u8] {
+        self.key_of(entry as usize)
+    }
+
     /// Knuth multiplicative slot for a digest in a table of `1 << (32 -
     /// shift)` slots.
     #[inline]
