@@ -5,6 +5,11 @@
 //! The probe shape mirrors the HRJN inner loop: for each incoming tuple,
 //! look up every previously-seen partner with the same join value and
 //! walk the group.
+//!
+//! The store layer's own number is a family-projected scan of a shared
+//! score-list table, read the way a descent reads one relation's list:
+//! one family that nearly every row carries (dense), and one that only
+//! one row in forty carries (sparse, like the 3-way index's `P3`).
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -12,7 +17,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use rj_sketch::FlatMultiMap;
-use rj_store::WorkStealingPool;
+use rj_store::{keys, Cluster, CostModel, Mutation, Scan, WorkStealingPool};
 
 const GROUPS: usize = 4_000;
 const PER_GROUP: usize = 12;
@@ -26,7 +31,54 @@ fn pairs() -> Vec<(Vec<u8>, u32)> {
         .collect()
 }
 
+/// Rows of the score-list table; every `SPARSE_EVERY`-th carries the
+/// sparse family.
+const LIST_ROWS: usize = 16_000;
+const SPARSE_EVERY: usize = 40;
+
+/// A score-list table like the multiway index: one row per score, one
+/// cell per indexed tuple, one family per relation.
+fn score_list_cluster() -> Cluster {
+    let cluster = Cluster::new(2, CostModel::lab());
+    cluster.create_table("lists", &["dense", "sparse"]).unwrap();
+    let client = cluster.client();
+    for i in 0..LIST_ROWS {
+        let score = 1.0 - i as f64 / LIST_ROWS as f64;
+        let family = if i.is_multiple_of(SPARSE_EVERY) {
+            "sparse"
+        } else {
+            "dense"
+        };
+        let key = keys::encode_score_desc(score);
+        let tuple = format!("tuple-{i:06}").into_bytes();
+        client
+            .put("lists", &key, Mutation::put(family, &tuple, vec![0u8; 24]))
+            .unwrap();
+    }
+    cluster
+}
+
+/// Cells returned by a full projected scan of one family, 100 rows per
+/// batch.
+fn scan_family(cluster: &Cluster, family: &str) -> usize {
+    let scan = Scan::new().families(&[family]).caching(100);
+    cluster
+        .client()
+        .scan("lists", scan)
+        .unwrap()
+        .map(|row| row.cells.len())
+        .sum()
+}
+
 fn benches(c: &mut Criterion) {
+    let lists = score_list_cluster();
+    c.bench_function("region_scan_sparse_projection", |bch| {
+        bch.iter(|| scan_family(&lists, "sparse"))
+    });
+    c.bench_function("region_scan_dense_projection", |bch| {
+        bch.iter(|| scan_family(&lists, "dense"))
+    });
+
     let pairs = pairs();
 
     c.bench_function("flatmap_build_48k", |bch| {

@@ -665,8 +665,7 @@ impl IslCursor {
             return 0;
         };
         self.state
-            .current_results()
-            .iter()
+            .results()
             .take_while(|t| t.score > threshold)
             .count()
     }
@@ -773,16 +772,15 @@ impl IslCursor {
             let Some(score) = keys::decode_score_desc(&row.key) else {
                 continue;
             };
-            let mut cells: VecDeque<RankedTuple> = row
+            let mut tuples = row
                 .family_cells(&family)
-                .filter_map(|cell| kind.decode(cell, score))
-                .collect();
-            while let Some(tuple) = cells.pop_front() {
+                .filter_map(|cell| kind.decode(cell, score));
+            while let Some(tuple) = tuples.next() {
                 self.push_logged(turn, tuple);
                 // Algorithm 4 tests inside the tuple loop; rows already
                 // fetched in this batch are paid for either way.
                 if self.state.is_done() {
-                    self.core.pending = cells;
+                    self.core.pending = tuples.collect();
                     step = BatchStep::Drained;
                     break 'rows;
                 }
@@ -854,10 +852,15 @@ impl RankedCursor for IslCursor {
             .saturating_add(n)
             .min(self.core.meta.k);
         let (stopped, metrics) = self.pump(want, policy)?;
-        let all = self.state.current_results();
-        let certified = self.certified();
-        let emit_to = certified.min(want).max(self.core.meta.emitted);
-        let results = all[self.core.meta.emitted..emit_to].to_vec();
+        let emitted = self.core.meta.emitted;
+        let emit_to = self.certified().min(want).max(emitted);
+        let results = self
+            .state
+            .results()
+            .skip(emitted)
+            .take(emit_to - emitted)
+            .cloned()
+            .collect();
         self.core.meta.emitted = emit_to;
         Ok(CursorBatch {
             results,

@@ -409,7 +409,12 @@ impl HrjnState {
     /// seed another algorithm's top-k accumulator with (every one is a
     /// real join result of tuples already paid for).
     pub fn current_results(&self) -> Vec<JoinTuple> {
-        self.results.iter().cloned().collect()
+        self.results().cloned().collect()
+    }
+
+    /// [`HrjnState::current_results`] by reference, without cloning.
+    pub(crate) fn results(&self) -> impl Iterator<Item = &JoinTuple> {
+        self.results.iter()
     }
 }
 
@@ -431,7 +436,14 @@ impl<'a> Walk<'a> {
     /// results' binary-compatible `join_value` field.
     fn extend(&self, pos: usize, chosen: &mut [u32], edge0: &'a [u8], out: &mut TopK) {
         let Some(step) = self.steps.get(pos) else {
-            out.offer(self.assemble(chosen, edge0));
+            // Score first: a candidate the top-k would evict at once is
+            // never assembled.
+            let score = self
+                .score_fn
+                .combine_iter((0..chosen.len()).map(|i| self.score(chosen, i)));
+            if out.admits(score) {
+                out.offer(self.assemble(chosen, edge0, score));
+            }
             return;
         };
         let seen: &'a [SeenSide] = self.seen;
@@ -447,10 +459,19 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Builds the result tuple of a complete assignment: side 0 is the
-    /// result's left, the last side its right, interior sides land in
-    /// `inner`.
-    fn assemble(&self, chosen: &[u32], edge0: &[u8]) -> JoinTuple {
+    /// Side `i`'s score in the assignment `chosen`.
+    fn score(&self, chosen: &[u32], i: usize) -> f64 {
+        if i == self.root {
+            self.new.score
+        } else {
+            self.seen[i].score(chosen[i])
+        }
+    }
+
+    /// Builds the result tuple of a complete assignment whose aggregate
+    /// is `score`: side 0 is the result's left, the last side its right,
+    /// interior sides land in `inner`.
+    fn assemble(&self, chosen: &[u32], edge0: &[u8], score: f64) -> JoinTuple {
         let n = chosen.len();
         let key = |i: usize| {
             if i == self.root {
@@ -459,21 +480,16 @@ impl<'a> Walk<'a> {
                 self.seen[i].key(chosen[i])
             }
         };
-        let score = |i: usize| {
-            if i == self.root {
-                self.new.score
-            } else {
-                self.seen[i].score(chosen[i])
-            }
-        };
         JoinTuple {
             left_key: key(0).to_vec(),
             right_key: key(n - 1).to_vec(),
             join_value: edge0.to_vec(),
-            left_score: score(0),
-            right_score: score(n - 1),
-            inner: (1..n - 1).map(|i| (key(i).to_vec(), score(i))).collect(),
-            score: self.score_fn.combine_iter((0..n).map(score)),
+            left_score: self.score(chosen, 0),
+            right_score: self.score(chosen, n - 1),
+            inner: (1..n - 1)
+                .map(|i| (key(i).to_vec(), self.score(chosen, i)))
+                .collect(),
+            score,
         }
     }
 }

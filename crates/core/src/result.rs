@@ -99,6 +99,21 @@ impl TopK {
         }
     }
 
+    /// Whether a tuple scoring `score` could be retained by
+    /// [`TopK::offer`]. False only when k tuples are held and `score` is
+    /// strictly below the k-th under `total_cmp` (the rank order's score
+    /// comparison) — such an offer would be evicted at once — or when
+    /// `k = 0`. A tie with the k-th is admitted: only `offer` can settle
+    /// it, by key. Lets a producer skip building tuples that cannot rank.
+    pub fn admits(&self, score: f64) -> bool {
+        if self.set.len() < self.k {
+            return true;
+        }
+        self.set
+            .last()
+            .is_some_and(|worst| score.total_cmp(&worst.0.score) != Ordering::Less)
+    }
+
     /// Number of retained tuples (≤ k).
     pub fn len(&self) -> usize {
         self.set.len()
@@ -201,6 +216,54 @@ mod tests {
         top.offer(t(b"a", b"r", 0.5));
         top.offer(t(b"a", b"r", 0.5));
         assert_eq!(top.len(), 1);
+    }
+
+    #[test]
+    fn admits_rejects_only_what_offer_would_evict() {
+        let mut top = TopK::new(2);
+        assert!(top.admits(f64::NEG_INFINITY), "room left: anything goes");
+        top.offer(t(b"b", b"r", 0.9));
+        top.offer(t(b"b", b"r", 0.5));
+        assert!(top.admits(0.7));
+        assert!(top.admits(0.5), "a tie with the k-th is settled by key");
+        assert!(!top.admits(0.4));
+        assert!(top.admits(f64::NAN), "positive NaN ranks above +inf");
+        assert!(!top.admits(-f64::NAN), "negative NaN ranks below -inf");
+        assert!(!TopK::new(0).admits(f64::INFINITY), "k = 0 keeps nothing");
+    }
+
+    /// A retained set, comparable even when scores are NaN.
+    fn fingerprint(top: &TopK) -> Vec<(u64, Vec<u8>, Vec<u8>)> {
+        top.iter()
+            .map(|x| (x.score.to_bits(), x.left_key.clone(), x.right_key.clone()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn skipping_unadmitted_offers_changes_nothing(
+            k in 0usize..6,
+            offers in proptest::collection::vec((0u8..3, 0u8..3, 0usize..10), 0..40),
+        ) {
+            const SCORES: [f64; 10] = [
+                0.1, 0.5, 0.5, 0.9, f64::NAN, -f64::NAN,
+                f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0,
+            ];
+            let mut offered = TopK::new(k);
+            let mut gated = TopK::new(k);
+            for (l, r, s) in offers {
+                let tuple = t(&[l], &[r], SCORES[s]);
+                if !gated.admits(tuple.score) {
+                    let before = fingerprint(&offered);
+                    offered.offer(tuple.clone());
+                    proptest::prop_assert_eq!(fingerprint(&offered), before, "offer kept an unadmitted tuple");
+                } else {
+                    offered.offer(tuple.clone());
+                    gated.offer(tuple);
+                }
+                proptest::prop_assert_eq!(fingerprint(&gated), fingerprint(&offered));
+            }
+        }
     }
 
     #[test]

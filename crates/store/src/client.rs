@@ -164,15 +164,13 @@ impl Client {
     /// `caching` rows per RPC.
     pub fn scan(&self, table: &str, scan: Scan) -> Result<Scanner<'_>> {
         let t = self.lookup(table)?;
-        // Validate family projection eagerly so errors surface here.
-        if let Some(fams) = &scan.families {
-            for f in fams {
-                t.family_index(f)?;
-            }
-        }
+        // Resolve the family projection once, so errors surface here and
+        // no batch has to look a name up again.
+        let families = t.resolve_families(scan.families.as_deref())?;
         Ok(Scanner {
             client: self,
             table: t,
+            families,
             next_key: scan.start.clone().unwrap_or_default(),
             done: false,
             returned: 0,
@@ -186,11 +184,17 @@ impl Client {
     /// left off, including rows already fetched into its buffer — parallel
     /// warm-up rounds prefetch on worker clients and hand the state to the
     /// coordinator without re-reading (or re-billing) anything.
+    ///
+    /// The projection is resolved again against the table found under the
+    /// state's name: a table recreated without a projected family fails
+    /// here with `FamilyNotFound` instead of ending the scan early.
     pub fn resume_scan(&self, state: ScannerState) -> Result<Scanner<'_>> {
         let table = self.lookup(&state.table)?;
+        let families = table.resolve_families(state.spec.families.as_deref())?;
         Ok(Scanner {
             client: self,
             table,
+            families,
             spec: state.spec,
             next_key: state.next_key,
             done: state.done,
@@ -222,6 +226,8 @@ pub struct Scanner<'c> {
     client: &'c Client,
     table: Arc<crate::table::Table>,
     spec: Scan,
+    /// `spec.families` resolved to schema indices of `table`.
+    families: Option<Vec<usize>>,
     next_key: Vec<u8>,
     done: bool,
     returned: usize,
@@ -294,19 +300,13 @@ impl Scanner<'_> {
         if self.done {
             return;
         }
-        let batch = match self.table.scan_batch(
+        let Ok(batch) = self.table.scan_batch(
             &self.next_key,
             self.spec.stop.as_deref(),
-            self.spec.families.as_deref(),
+            self.families.as_deref(),
             self.spec.filter.as_deref(),
             self.spec.effective_caching(),
-        ) {
-            Ok(b) => b,
-            Err(_) => {
-                self.done = true;
-                return;
-            }
-        };
+        );
         self.client.charge_read(batch.node, &batch.cost);
         self.buffer.extend(batch.rows);
         match batch.resume_key {
@@ -495,5 +495,31 @@ mod tests {
         let c = small_cluster();
         let cl = c.client();
         assert!(cl.scan("t", Scan::new().families(&["nope"])).is_err());
+    }
+
+    #[test]
+    fn resume_onto_table_recreated_without_the_family_errors() {
+        let c = small_cluster();
+        let cl = c.client();
+        for i in 0..10u64 {
+            cl.put(
+                "t",
+                &keys::encode_u64(i),
+                Mutation::put("idx", b"q", b"v".to_vec()),
+            )
+            .unwrap();
+        }
+        let mut scan = cl
+            .scan("t", Scan::new().families(&["idx"]).caching(3))
+            .unwrap();
+        assert!(scan.next().is_some());
+        let state = scan.into_state();
+        assert!(!state.is_exhausted());
+        c.drop_table("t").unwrap();
+        c.create_table("t", &["cf"]).unwrap();
+        assert!(matches!(
+            cl.resume_scan(state),
+            Err(crate::error::StoreError::FamilyNotFound { .. })
+        ));
     }
 }

@@ -59,15 +59,29 @@ impl Versions {
     }
 }
 
+/// The bit of family `idx` in a [`RowData::present`] mask. Families from
+/// index 63 on share the top bit, so a mask test can only over-approximate:
+/// a shared bit makes a scan read a row it could have skipped, never skip
+/// one it must read.
+fn family_bit(idx: usize) -> u64 {
+    1 << idx.min(63)
+}
+
 /// Row payload: per-family column maps, indexed by the table's family ids.
 #[derive(Clone, Debug)]
 pub(crate) struct RowData {
+    /// Which families hold any column (a put or a tombstone), one
+    /// [`family_bit`] each. Kept inline so a projected scan skips rows
+    /// outside its projection without touching their column maps.
+    /// Versions are never removed, so a bit once set stays true.
+    present: u64,
     families: Vec<BTreeMap<Vec<u8>, Versions>>,
 }
 
 impl RowData {
     fn new(num_families: usize) -> Self {
         RowData {
+            present: 0,
             families: vec![BTreeMap::new(); num_families],
         }
     }
@@ -168,6 +182,7 @@ impl Region {
             .or_insert_with(|| RowData::new(num_families));
         let mut bytes = 0u64;
         for &(fam_idx, m) in muts {
+            row.present |= family_bit(fam_idx);
             match m {
                 Mutation::Put {
                     qualifier,
@@ -210,21 +225,17 @@ impl Region {
     }
 
     /// Materializes the visible cells of one row, restricted to the given
-    /// family indices (`None` = all).
+    /// family indices (`None` = all). The row comes back only if a cell
+    /// does; the cost counts every stored column read, tombstoned or not.
     fn materialize(
-        &self,
         key: &[u8],
         data: &RowData,
         family_names: &[String],
         families: Option<&[usize]>,
-    ) -> (RowResult, ReadCost) {
+    ) -> (Option<RowResult>, ReadCost) {
         let mut cells = Vec::new();
         let mut cost = ReadCost::default();
-        let select: Box<dyn Iterator<Item = usize>> = match families {
-            Some(ids) => Box::new(ids.iter().copied()),
-            None => Box::new(0..data.families.len()),
-        };
-        for fam_idx in select {
+        let mut read_family = |fam_idx: usize| {
             for (qualifier, versions) in &data.families[fam_idx] {
                 // Every stored version is touched by the read path.
                 cost.kvs_scanned += 1;
@@ -240,14 +251,16 @@ impl Region {
                     cells.push(cell);
                 }
             }
+        };
+        match families {
+            Some(ids) => ids.iter().copied().for_each(&mut read_family),
+            None => (0..data.families.len()).for_each(&mut read_family),
         }
-        (
-            RowResult {
-                key: key.to_vec(),
-                cells,
-            },
-            cost,
-        )
+        let row = (!cells.is_empty()).then(|| RowResult {
+            key: key.to_vec(),
+            cells,
+        });
+        (row, cost)
     }
 
     /// Point read of one row.
@@ -257,23 +270,24 @@ impl Region {
         family_names: &[String],
         families: Option<&[usize]>,
     ) -> (Option<RowResult>, ReadCost) {
-        match self.rows.get(key) {
-            None => (None, ReadCost::default()),
-            Some(data) => {
-                let (row, mut cost) = self.materialize(key, data, family_names, families);
-                if row.cells.is_empty() {
-                    (None, cost)
-                } else {
-                    cost.kvs_returned = row.kv_count();
-                    cost.bytes_returned = row.weight();
-                    (Some(row), cost)
-                }
-            }
+        let Some(data) = self.rows.get(key) else {
+            return (None, ReadCost::default());
+        };
+        let (row, mut cost) = Self::materialize(key, data, family_names, families);
+        if let Some(row) = &row {
+            cost.kvs_returned = row.kv_count();
+            cost.bytes_returned = row.weight();
         }
+        (row, cost)
     }
 
     /// Scans up to `max_rows` rows starting at `start` (inclusive), stopping
     /// before `stop` (exclusive) and before the region end.
+    ///
+    /// Every visited row counts toward `max_rows` — the batch is an RPC's
+    /// worth of server-side row visits — including rows skipped because
+    /// no projected family holds a column; those cost no reads, exactly
+    /// like materializing them would.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_batch(
         &self,
@@ -288,29 +302,34 @@ impl Region {
         let mut cost = ReadCost::default();
         let mut resume_key = None;
 
-        let range = self
-            .rows
-            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded));
-        for (visited, (key, data)) in range.enumerate() {
-            if let Some(stop) = stop {
-                if key.as_slice() >= stop {
-                    return ScanBatch {
-                        rows,
-                        cost,
-                        resume_key: None,
-                    };
+        let upper = match stop {
+            // `BTreeMap::range` panics on an inverted range.
+            Some(stop) if stop <= start => {
+                return ScanBatch {
+                    rows,
+                    cost,
+                    resume_key,
                 }
             }
+            Some(stop) => Bound::Excluded(stop),
+            None => Bound::Unbounded,
+        };
+        let projection = families.map_or(u64::MAX, |ids| {
+            ids.iter().fold(0, |mask, &idx| mask | family_bit(idx))
+        });
+        let range = self.rows.range::<[u8], _>((Bound::Included(start), upper));
+        for (visited, (key, data)) in range.enumerate() {
             if visited == max_rows {
                 resume_key = Some(key.clone());
                 break;
             }
-            let (row, c) = self.materialize(key, data, family_names, families);
-            cost.kvs_scanned += c.kvs_scanned;
-            cost.bytes_scanned += c.bytes_scanned;
-            if row.cells.is_empty() {
+            if data.present & projection == 0 {
                 continue;
             }
+            let (row, c) = Self::materialize(key, data, family_names, families);
+            cost.kvs_scanned += c.kvs_scanned;
+            cost.bytes_scanned += c.bytes_scanned;
+            let Some(row) = row else { continue };
             if filter.is_none_or(|f| f.accept(&row)) {
                 cost.kvs_returned += row.kv_count();
                 cost.bytes_returned += row.weight();
@@ -493,5 +512,240 @@ mod tests {
         assert!(upper.rows.keys().all(|k| k.as_slice() >= split.as_slice()));
         assert_eq!(upper.node(), 1);
         assert_eq!(r.kv_count() + upper.kv_count(), 10);
+    }
+}
+
+/// `Table::scan_batch` against a naive reference: the scan loop that
+/// materializes every row in the range and tests the stop key per row,
+/// run over a single-region mirror of the same writes.
+#[cfg(test)]
+mod scan_props {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::table::Table;
+
+    const FAMILIES: [&str; 3] = ["a", "b", "sparse"];
+    /// Row keys are single bytes below this; starts and stops range one
+    /// past it so scans can begin and end beyond the last row.
+    const KEYS: u8 = 24;
+
+    /// Accepts rows with an even first key byte.
+    struct EvenKeys;
+    impl ServerFilter for EvenKeys {
+        fn accept(&self, row: &RowResult) -> bool {
+            row.key[0].is_multiple_of(2)
+        }
+    }
+
+    /// The materialization the projected scan replaced: reads every
+    /// projected family of every row and always copies the key.
+    fn naive_materialize(
+        key: &[u8],
+        data: &RowData,
+        family_names: &[String],
+        families: Option<&[usize]>,
+    ) -> (RowResult, ReadCost) {
+        let mut cells = Vec::new();
+        let mut cost = ReadCost::default();
+        let select: Box<dyn Iterator<Item = usize>> = match families {
+            Some(ids) => Box::new(ids.iter().copied()),
+            None => Box::new(0..data.families.len()),
+        };
+        for fam_idx in select {
+            for (qualifier, versions) in &data.families[fam_idx] {
+                cost.kvs_scanned += 1;
+                if let Some((ts, value)) = versions.visible() {
+                    let cell = Cell {
+                        row: key.to_vec(),
+                        family: family_names[fam_idx].clone(),
+                        qualifier: qualifier.clone(),
+                        timestamp: ts,
+                        value: value.clone(),
+                    };
+                    cost.bytes_scanned += cell.weight();
+                    cells.push(cell);
+                }
+            }
+        }
+        (
+            RowResult {
+                key: key.to_vec(),
+                cells,
+            },
+            cost,
+        )
+    }
+
+    /// The region scan loop the projected scan replaced.
+    fn naive_region_scan(
+        region: &Region,
+        start: &[u8],
+        stop: Option<&[u8]>,
+        family_names: &[String],
+        families: Option<&[usize]>,
+        filter: Option<&dyn ServerFilter>,
+        max_rows: usize,
+    ) -> ScanBatch {
+        let mut rows = Vec::new();
+        let mut cost = ReadCost::default();
+        let mut resume_key = None;
+        let range = region
+            .rows
+            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded));
+        for (visited, (key, data)) in range.enumerate() {
+            if let Some(stop) = stop {
+                if key.as_slice() >= stop {
+                    return ScanBatch {
+                        rows,
+                        cost,
+                        resume_key: None,
+                    };
+                }
+            }
+            if visited == max_rows {
+                resume_key = Some(key.clone());
+                break;
+            }
+            let (row, c) = naive_materialize(key, data, family_names, families);
+            cost.kvs_scanned += c.kvs_scanned;
+            cost.bytes_scanned += c.bytes_scanned;
+            if row.cells.is_empty() {
+                continue;
+            }
+            if filter.is_none_or(|f| f.accept(&row)) {
+                cost.kvs_returned += row.kv_count();
+                cost.bytes_returned += row.weight();
+                rows.push(row);
+            }
+        }
+        ScanBatch {
+            rows,
+            cost,
+            resume_key,
+        }
+    }
+
+    /// One table scan step, answered from the mirror: the step is bounded
+    /// by the end of the table region serving `start`, and resumes at the
+    /// next region's start once that region is exhausted.
+    fn reference_step(
+        table: &Table,
+        mirror: &Region,
+        start: &[u8],
+        stop: Option<&[u8]>,
+        families: Option<&[usize]>,
+        filter: Option<&dyn ServerFilter>,
+        max_rows: usize,
+    ) -> (Vec<RowResult>, ReadCost, Option<Vec<u8>>) {
+        let infos = table.region_infos();
+        let idx = infos
+            .iter()
+            .rposition(|r| r.start.as_slice() <= start)
+            .unwrap_or(0);
+        let edge = infos[idx].end.as_deref();
+        let effective_stop = match (edge, stop) {
+            (Some(e), Some(s)) => Some(e.min(s)),
+            (e, s) => e.or(s),
+        };
+        let batch = naive_region_scan(
+            mirror,
+            start,
+            effective_stop,
+            table.families(),
+            families,
+            filter,
+            max_rows,
+        );
+        let resume_key = batch.resume_key.or_else(|| {
+            edge.filter(|e| stop.is_none_or(|s| *e < s))
+                .map(<[u8]>::to_vec)
+        });
+        (batch.rows, batch.cost, resume_key)
+    }
+
+    /// The family a random write's selector picks: one value in forty
+    /// is the sparse family, the rest alternate between the dense two.
+    fn family_of(selector: u8) -> usize {
+        match selector {
+            0 => 2,
+            s => usize::from(s % 2),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Writes are `(key, family selector, qualifier, delete?, ts)`;
+        /// deletes of never-written columns leave tombstone-only columns.
+        #[test]
+        fn projected_scan_matches_naive_reference(
+            ops in prop::collection::vec((0u8..KEYS, 0u8..40, 0u8..3, any::<bool>(), 1u64..16), 1..80),
+            split_threshold in 2usize..12,
+            rebalance in 0usize..4,
+            filtered in any::<bool>(),
+        ) {
+            let table = Table::new("t", &FAMILIES, &[], 3);
+            table.set_split_threshold(split_threshold);
+            let mut mirror = Region::new(Vec::new(), 0);
+            for &(key, selector, q, delete, ts) in &ops {
+                let fam = family_of(selector);
+                let m = if delete {
+                    Mutation::delete_at(FAMILIES[fam], &[q], ts)
+                } else {
+                    Mutation::put_at(FAMILIES[fam], &[q], vec![key, q], ts)
+                };
+                table.mutate_row(&[key], std::slice::from_ref(&m), 0).unwrap();
+                mirror.mutate_row(&[key], &[(fam, &m)], 0, FAMILIES.len());
+            }
+            table.rebalance(rebalance + 1);
+
+            let filter: Option<&dyn ServerFilter> = if filtered { Some(&EvenKeys) } else { None };
+            let projections: [Option<&[usize]>; 6] =
+                [None, Some(&[]), Some(&[0]), Some(&[2]), Some(&[0, 2]), Some(&[0, 1, 2])];
+            let mut stops: Vec<Option<Vec<u8>>> = vec![None];
+            stops.extend((0..=KEYS).map(|k| Some(vec![k])));
+            for start in 0..=KEYS {
+                for stop in &stops {
+                    for families in projections {
+                        for max_rows in [1usize, 2, 5, 100] {
+                            let stop = stop.as_deref();
+                            let Ok(got) = table.scan_batch(&[start], stop, families, filter, max_rows);
+                            let (rows, cost, resume_key) = reference_step(
+                                &table, &mirror, &[start], stop, families, filter, max_rows,
+                            );
+                            prop_assert_eq!(&got.rows, &rows, "rows: start {} stop {:?} {:?} max {}",
+                                start, stop, families, max_rows);
+                            prop_assert_eq!(got.cost, cost, "cost: start {} stop {:?} {:?} max {}",
+                                start, stop, families, max_rows);
+                            prop_assert_eq!(&got.resume_key, &resume_key, "resume: start {} stop {:?} {:?} max {}",
+                                start, stop, families, max_rows);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inverted_range_is_an_empty_batch() {
+        let table = Table::new("t", &FAMILIES, &[vec![4]], 2);
+        let mut region = Region::new(Vec::new(), 0);
+        for key in 0..8u8 {
+            let m = Mutation::put_at("a", b"q", vec![key], 1);
+            table
+                .mutate_row(&[key], std::slice::from_ref(&m), 0)
+                .unwrap();
+            region.mutate_row(&[key], &[(0, &m)], 0, FAMILIES.len());
+        }
+        let names = table.families().to_vec();
+        let batch = region.scan_batch(&[6], Some(&[2]), &names, None, None, 10);
+        assert!(batch.rows.is_empty());
+        assert_eq!(batch.cost, ReadCost::default());
+        assert_eq!(batch.resume_key, None);
+        let Ok(batch) = table.scan_batch(&[6], Some(&[2]), Some(&[0]), None, 10);
+        assert!(batch.rows.is_empty());
+        assert_eq!(batch.cost, ReadCost::default());
+        assert_eq!(batch.resume_key, None);
     }
 }

@@ -1,5 +1,6 @@
 //! Tables: named, schema'd (column families), split into regions.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
@@ -108,7 +109,10 @@ impl Table {
             })
     }
 
-    fn resolve_families(&self, names: Option<&[String]>) -> Result<Option<Vec<usize>>> {
+    /// Schema indices of a family projection (`None` = every family),
+    /// sorted and deduplicated, or `FamilyNotFound` for a name the schema
+    /// lacks.
+    pub(crate) fn resolve_families(&self, names: Option<&[String]>) -> Result<Option<Vec<usize>>> {
         match names {
             None => Ok(None),
             Some(ns) => {
@@ -304,21 +308,21 @@ impl Table {
         Ok((row, cost, region.node()))
     }
 
-    /// One scan step: reads up to `max_rows` rows from the region serving
-    /// `start`, bounded by `stop`, and reports where to resume (which may be
-    /// the start of the next region).
+    /// One scan step: reads up to `max_rows` rows (at least one) from the
+    /// region serving `start`, bounded by `stop`, and reports where to
+    /// resume (which may be the start of the next region).
+    ///
+    /// `families` is a projection already resolved by
+    /// [`Table::resolve_families`] against this table, so the step cannot
+    /// fail; the `Infallible` error type says so to callers.
     pub(crate) fn scan_batch(
         &self,
         start: &[u8],
         stop: Option<&[u8]>,
-        families: Option<&[String]>,
+        families: Option<&[usize]>,
         filter: Option<&dyn ServerFilter>,
         max_rows: usize,
-    ) -> Result<TableScanBatch> {
-        if max_rows == 0 {
-            return Err(StoreError::InvalidArgument("scan batch size must be > 0"));
-        }
-        let fam_ids = self.resolve_families(families)?;
+    ) -> std::result::Result<TableScanBatch, Infallible> {
         let regions = self.regions.read();
         let idx = Self::region_index(&regions, start);
         let next_region_start = regions.get(idx + 1).map(|r| r.read().start_key().to_vec());
@@ -336,9 +340,9 @@ impl Table {
             start,
             effective_stop,
             &self.families,
-            fam_ids.as_deref(),
+            families,
             filter,
-            max_rows,
+            max_rows.max(1),
         );
         let node = region.node();
         // If the region is exhausted, continue into the next region (unless
